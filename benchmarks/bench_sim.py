@@ -1,4 +1,4 @@
-"""Simulator-core stepping + scheduling + body + gating benchmark (``bench-sim``).
+"""Simulator-core stepping + scheduling + body benchmark (``bench-sim``).
 
 Measures the per-run hot path of :class:`~repro.sim.master.MasterSimulator`
 on a declared sample of the paper's Table 2 grid, and emits a JSON document
@@ -6,7 +6,7 @@ so successive PRs accumulate a perf trajectory::
 
     PYTHONPATH=src python benchmarks/bench_sim.py --out BENCH_sim.json
 
-Four comparisons are timed, over the same (cell, scenario, trial,
+Three comparisons are timed, over the same (cell, scenario, trial,
 heuristic, objective) population, all within one process with the
 configurations interleaved per run (the only timing methodology that
 survives noisy shared runners):
@@ -24,20 +24,7 @@ survives noisy shared runners):
   store vs the structure-of-arrays ``InstanceTable`` with the vectorised
   body (DESIGN.md §9), both span-stepped on the array scheduler API.
   ``store_speedup`` is the end-to-end ratio; ``body_speedup`` compares
-  the *body* seconds (wall-clock minus the measured round seconds);
-* **round-relevance gating** — the exact elision tier
-  (``round_relevance="exact"``, the default) vs the always-execute oracle
-  (``"off"``), DESIGN.md §10.  Each cell reports ``rounds_elided``,
-  ``elision_share`` (elided / executed rounds) and ``elision_speedup``
-  (end-to-end off/exact ratio).  HONEST NOTE: the exact tier's proof
-  obligation *is* a placement computation — determinism means the only
-  sound proof re-scores and compares — so elision skips only the round's
-  mutation phase (queue purges, replica drop/recreate churn, table ops),
-  and the measured end-to-end ratio sits near 1.0; its value is the
-  proven round-skip count and the policy machinery it anchors.  The big
-  replan-trigger wins require *relaxed* semantics, which are not
-  bit-identical — see the ``relaxed_policy`` row below and
-  ``experiments/replan_study.py`` for their validation.
+  the *body* seconds (wall-clock minus the measured round seconds).
 
 A **long-horizon deadline cell** (``run_slots`` over ≥100k slots) rides
 along to exercise the run-length-encoded availability sources where the
@@ -55,22 +42,12 @@ that explain the ratio (the sweep touches all p by construction; the
 calendar touches only the churn).  ``--largep-smoke`` swaps in a fast
 p = 2000 short-horizon cell for CI runners.
 
-A **stacked-rounds row** (DESIGN.md §14) times one R = 16 cohort on the
-paper midpoint cell with the stacked-round driver on vs off, asserting
-bit-identical reports first.  HONEST NOTE: the measured ratio sits
-*below* parity (~0.92) — the per-run incremental caches (§10 elision
-probe reuse, §12 row stores, the persistent delta cache) already absorb
-the scoring work the stacked pass fuses, and the pause/resume seam taxes
-every scheduling round; the row records ``rows_scored_stacked`` to prove
-the driver really served the cohort, and its gate bounds the seam tax
-rather than claiming a speedup.
-
 A **relaxed-policy row** (recorded, never gated) times one cell under
 ``replan_policy="sticky"`` against the event-driven default and records
 the speedup *and* the makespan deviation it buys — relaxed policies
 change the science, so their numbers are documentation, not a gate.
 
-Every simulated instance is asserted **bit-identical** across the five
+Every simulated instance is asserted **bit-identical** across the four
 bit-exact configurations before any number is reported; both objectives
 are covered (``run`` for the makespan protocol, ``run_slots`` for the
 Section 3.4 deadline form).  A speedup that changed the science would be
@@ -90,12 +67,6 @@ runner noise); ``--min-sched-speedup``
 (default 1.0) fails it when the batch scheduler path regresses below the
 legacy scalar path; ``--min-body-speedup`` (default 1.0) fails it when
 the array instance store's body regresses below the legacy list store;
-``--min-elision-speedup`` (default 0.95) fails it when the exact elision
-tier costs measurable wall-clock instead of being free (the probe-stash
-reuse landed the gated-cell ratio at ~0.99);
-``--min-stacked-speedup`` (default 0.85) fails it when the stacked-round
-driver regresses further below the plain cohort engine on its gated
-cell;
 ``--min-trace-compression`` (default 6.0) fails it when the RLE sources
 stop beating the dense representation on the long-horizon cell;
 ``--min-largep-speedup`` (default 1.0) fails it when the event-calendar
@@ -156,12 +127,6 @@ RELAXED_CELL: Tuple[int, int, int] = (20, 10, 5)
 BATCH_CELLS: Tuple[Tuple[int, int, int], ...] = ((20, 10, 5), (40, 20, 10))
 BATCH_COHORTS: Tuple[int, ...] = (4, 16)
 
-#: Stacked-round cells (DESIGN.md §14): the cohort engine with the
-#: stacked-round driver on vs off, at the paper midpoint and R=16 — the
-#: cohort shape whose rounds the driver scores in one (R, p) pass.
-STACKED_CELL: Tuple[int, int, int] = (20, 10, 5)
-STACKED_COHORT = 16
-
 #: Large-platform calendar cells (DESIGN.md §12): the platform event
 #: calendar vs the O(p)-per-boundary sweep oracle on the seed-stable
 #: ``large_grid_scenario`` family (semi-Markov O(runs) ground truth,
@@ -185,28 +150,25 @@ LARGEP_POLICY = "sticky"
 LARGEP_SMOKE_SIZE = 2_000
 LARGEP_SMOKE_MAX_SLOTS = 6_000
 
-#: (step_mode, scheduler_api, instance_store, round_relevance)
-#: configurations per run.  The first is the bit-identity reference; the
-#: second is the default.
-CONFIGS: Tuple[Tuple[str, str, str, str], ...] = (
-    ("slot", "array", "array", "exact"),
-    ("span", "array", "array", "exact"),
-    ("span", "legacy", "array", "exact"),
-    ("span", "array", "legacy", "exact"),
-    ("span", "array", "array", "off"),
+#: (step_mode, scheduler_api, instance_store) configurations per run.
+#: The first is the bit-identity reference; the second is the default.
+CONFIGS: Tuple[Tuple[str, str, str], ...] = (
+    ("slot", "array", "array"),
+    ("span", "array", "array"),
+    ("span", "legacy", "array"),
+    ("span", "array", "legacy"),
 )
 
-DEFAULT = ("span", "array", "array", "exact")
-LEGACY_STORE = ("span", "array", "legacy", "exact")
-LEGACY_API = ("span", "legacy", "array", "exact")
-SLOT = ("slot", "array", "array", "exact")
-RELEVANCE_OFF = ("span", "array", "array", "off")
+DEFAULT = ("span", "array", "array")
+LEGACY_STORE = ("span", "array", "legacy")
+LEGACY_API = ("span", "legacy", "array")
+SLOT = ("slot", "array", "array")
 
 
 def _simulate(scenario, trial: int, heuristic: str, config, objective: str,
               deadline_slots: int = DEADLINE_SLOTS,
               replan_policy: str = "event"):
-    mode, api, store, relevance = config
+    mode, api, store = config
     platform = scenario.build_platform(trial)
     sim = MasterSimulator(
         platform,
@@ -216,7 +178,6 @@ def _simulate(scenario, trial: int, heuristic: str, config, objective: str,
             step_mode=mode,
             scheduler_api=api,
             instance_store=store,
-            round_relevance=relevance,
             replan_policy=replan_policy,
         ),
         rng=scenario.scheduler_rng(trial, heuristic),
@@ -250,7 +211,6 @@ def _simulate(scenario, trial: int, heuristic: str, config, objective: str,
         "elapsed": elapsed,
         "steps": sim.steps_executed,
         "round_seconds": round_clock["seconds"],
-        "rounds_elided": sim.rounds_elided,
         "instance_ops": sim.instance_ops,
         "trace_bytes": trace_bytes,
         "dense_bytes": dense_bytes,
@@ -298,7 +258,6 @@ def _bench_cell(
         slots_total = 0
         boundaries_total = 0
         rounds_total = 0
-        rounds_elided_total = 0
         instance_ops_total = 0
         trace_bytes_total = 0
         dense_bytes_total = 0
@@ -312,7 +271,6 @@ def _bench_cell(
                 if config == DEFAULT:
                     boundaries_total += out["steps"]
                     rounds_total += out["report"].scheduler_rounds
-                    rounds_elided_total += out["rounds_elided"]
                     instance_ops_total += out["instance_ops"]
                     trace_bytes_total += out["trace_bytes"]
                     dense_bytes_total += out["dense_bytes"]
@@ -334,11 +292,9 @@ def _bench_cell(
     span_s = best[DEFAULT]["seconds"]
     legacy_api_s = best[LEGACY_API]["seconds"]
     legacy_store_s = best[LEGACY_STORE]["seconds"]
-    relevance_off_s = best[RELEVANCE_OFF]["seconds"]
     array_round_s = best[DEFAULT]["round_seconds"]
     legacy_api_round_s = best[LEGACY_API]["round_seconds"]
     legacy_store_round_s = best[LEGACY_STORE]["round_seconds"]
-    relevance_off_round_s = best[RELEVANCE_OFF]["round_seconds"]
     array_body_s = span_s - array_round_s
     legacy_store_body_s = legacy_store_s - legacy_store_round_s
     return {
@@ -350,20 +306,15 @@ def _bench_cell(
         "span_seconds": round(span_s, 4),
         "legacy_api_seconds": round(legacy_api_s, 4),
         "legacy_store_seconds": round(legacy_store_s, 4),
-        "relevance_off_seconds": round(relevance_off_s, 4),
         "slots_per_sec_slot": round(slots_total / slot_s, 1),
         "slots_per_sec_span": round(slots_total / span_s, 1),
         "slots_per_sec_legacy_store": round(slots_total / legacy_store_s, 1),
         "speedup": round(slot_s / span_s, 3),
         "rounds": rounds_total,
-        "rounds_elided": rounds_elided_total,
-        "elision_share": round(rounds_elided_total / max(rounds_total, 1), 3),
-        "elision_speedup": round(relevance_off_s / span_s, 3),
         "round_seconds": {
             "array": round(array_round_s, 4),
             "legacy_api": round(legacy_api_round_s, 4),
             "legacy_store": round(legacy_store_round_s, 4),
-            "relevance_off": round(relevance_off_round_s, 4),
         },
         "round_time_share": {
             "array": round(array_round_s / span_s, 3),
@@ -574,12 +525,7 @@ def _bench_batch_engine(
                 per_run_reports = [run_standalone(spec) for spec in specs]
                 per_run_s = time.perf_counter() - start
                 start = time.perf_counter()
-                # stack_rounds pinned off: this section measures the §11
-                # cohort engine itself; the stacked-round driver has its
-                # own section (and gate) below.
-                batch_reports = BatchCampaignRunner(
-                    specs, stack_rounds=False
-                ).run()
+                batch_reports = BatchCampaignRunner(specs).run()
                 batch_s = time.perf_counter() - start
                 for spec, ref, got in zip(specs, per_run_reports, batch_reports):
                     if (
@@ -616,79 +562,6 @@ def _bench_batch_engine(
         "per_run_seconds_total": round(per_run_total, 4),
         "batch_seconds_total": round(batch_total, 4),
         "batch_speedup": round(per_run_total / batch_total, 3),
-        "reports_identical": True,
-    }
-
-
-def _bench_stacked_rounds(
-    generator: ScenarioGenerator,
-    *,
-    repetitions: int,
-    heuristics: Sequence[str] = HEURISTICS,
-    cell: Tuple[int, int, int] = STACKED_CELL,
-    cohort: int = STACKED_COHORT,
-) -> Dict:
-    """Stacked-round driver vs. the plain cohort engine (DESIGN.md §14).
-
-    Times one R-run cohort with ``stack_rounds`` on and off; reports are
-    asserted bit-identical before timings count.  The honest ratio sits
-    *below* 1.0 (~0.92 measured): the per-run incremental round caches
-    (§10 elision, §12 row stores, the persistent delta cache) already
-    absorb the scoring work the stacked pass fuses, and the pause/resume
-    seam taxes every scheduling round — the measured decomposition (seam
-    cost vs. driver value, free-seam ceiling ~1.05x) is in DESIGN.md
-    §14.  The gate guards the seam against regressing further, and
-    ``rows_scored_stacked`` documents that the driver really served the
-    cohort (0 would mean every member fell back per-run).
-    """
-    from repro.sim.batch_engine import BatchCampaignRunner, BatchRunSpec
-
-    n, ncom, wmin = cell
-    scenario = generator.scenario(n, ncom, wmin, 0)
-    trial_count = max(1, cohort // len(heuristics))
-    specs = [
-        BatchRunSpec(scenario=scenario, trial=trial, heuristic=heuristic)
-        for trial in range(trial_count)
-        for heuristic in heuristics
-    ]
-    best = {"cohort": float("inf"), "stacked": float("inf")}
-    rows_scored = 0
-    demotions = 0
-    for _rep in range(max(1, repetitions)):
-        start = time.perf_counter()
-        base_reports = BatchCampaignRunner(specs, stack_rounds=False).run()
-        cohort_s = time.perf_counter() - start
-        runner = BatchCampaignRunner(specs, stack_rounds=True)
-        start = time.perf_counter()
-        stacked_reports = runner.run()
-        stacked_s = time.perf_counter() - start
-        rows_scored = runner.rows_scored_stacked
-        demotions = runner.demotions
-        for spec, ref, got in zip(specs, base_reports, stacked_reports):
-            if (
-                got.makespan != ref.makespan
-                or got.slots_simulated != ref.slots_simulated
-                or got.scheduler_rounds != ref.scheduler_rounds
-            ):  # pragma: no cover - would be an engine bug
-                raise AssertionError(
-                    f"stacked rounds diverged on {cell} "
-                    f"trial={spec.trial} {spec.heuristic}: "
-                    f"{got.makespan} != {ref.makespan}"
-                )
-        best["cohort"] = min(best["cohort"], cohort_s)
-        best["stacked"] = min(best["stacked"], stacked_s)
-    return {
-        "cell": {"n": n, "ncom": ncom, "wmin": wmin},
-        "cohort": len(specs),
-        "heuristics": list(heuristics),
-        "cohort_seconds": round(best["cohort"], 4),
-        "stacked_seconds": round(best["stacked"], 4),
-        "cohort_rate": round(len(specs) / best["cohort"], 3),
-        "stacked_rate": round(len(specs) / best["stacked"], 3),
-        "stacked_speedup": round(best["cohort"] / best["stacked"], 3),
-        "rows_scored_stacked": rows_scored,
-        "demotions": demotions,
-        "gated": best["cohort"] >= NOISE_FLOOR_SECONDS,
         "reports_identical": True,
     }
 
@@ -819,14 +692,13 @@ def run_benchmark(
     long_deadline: bool = True,
     relaxed_policy: bool = True,
     batch_engine: bool = True,
-    stacked_rounds: bool = True,
     large_platform: bool = True,
     largep_smoke: bool = False,
     largep_xl: bool = False,
 ) -> Dict:
-    """Time stepping modes, scheduler APIs, instance stores and the
-    round-relevance gate over the Table 2 sample (plus the long-horizon
-    deadline cell and the relaxed-policy documentation row).
+    """Time stepping modes, scheduler APIs and instance stores over the
+    Table 2 sample (plus the long-horizon deadline cell and the
+    relaxed-policy documentation row).
 
     Returns the JSON-ready document; reports are asserted bit-identical
     between all bit-exact configurations for every simulated instance
@@ -858,7 +730,6 @@ def run_benchmark(
     legacy_api_round_total = total("round_seconds", "legacy_api")
     array_round_total = total("round_seconds", "array")
     legacy_store_total = total("legacy_store_seconds")
-    relevance_off_total = total("relevance_off_seconds")
     array_body_total = total("body_seconds", "array")
     legacy_body_total = total("body_seconds", "legacy_store")
     document = {
@@ -892,9 +763,6 @@ def run_benchmark(
         "legacy_store_seconds_total": round(legacy_store_total, 4),
         "store_speedup": round(legacy_store_total / span_total, 3),
         "body_speedup": round(legacy_body_total / array_body_total, 3),
-        "relevance_off_seconds_total": round(relevance_off_total, 4),
-        "elision_speedup": round(relevance_off_total / span_total, 3),
-        "rounds_elided_total": sum(row["rounds_elided"] for row in rows),
         "reports_identical": True,
     }
     if long_deadline:
@@ -916,15 +784,6 @@ def run_benchmark(
             heuristics=heuristics,
         )
         document["batch_speedup"] = document["batch_engine"]["batch_speedup"]
-    if stacked_rounds:
-        document["stacked_rounds"] = _bench_stacked_rounds(
-            generator,
-            repetitions=min(repetitions, 2),
-            heuristics=heuristics,
-        )
-        document["stacked_speedup"] = document["stacked_rounds"][
-            "stacked_speedup"
-        ]
     if large_platform:
         if largep_smoke:
             document["large_platform"] = _bench_large_platform(
@@ -988,22 +847,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--min-elision-speedup",
-        type=float,
-        default=0.95,
-        help=(
-            "exit non-zero when the exact round-relevance tier costs "
-            "measurable wall-clock (relevance-off seconds / default "
-            "seconds on the gated cells); the tier is designed to be "
-            "free — its savings are the round mutation phase only, so "
-            "the ratio sits near 1.0 and this gate guards against it "
-            "regressing into a real cost.  The would_replan probe "
-            "stashes its placements for the round to reuse, which "
-            "restored the gated-cell ratio to ~0.99 from the 0.93 "
-            "probe-rescoring regression"
-        ),
-    )
-    parser.add_argument(
         "--min-trace-compression",
         type=float,
         default=6.0,
@@ -1026,20 +869,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "§11) — so the honest ratio sits near 1.1-1.2x, not the "
             "multi-x of a fully fused kernel; the gate guards the engine "
             "against regressing into a cost"
-        ),
-    )
-    parser.add_argument(
-        "--min-stacked-speedup",
-        type=float,
-        default=0.85,
-        help=(
-            "exit non-zero when the stacked-round driver falls below this "
-            "ratio over the plain cohort engine on the gated stacked cell "
-            "(cohort seconds / stacked seconds).  The honest ratio is "
-            "~0.92, below parity: the per-run incremental caches already "
-            "absorb what stacking fuses and the pause seam taxes every "
-            "round (DESIGN.md §14) — the gate guards the seam against "
-            "regressing further, not a speedup claim"
         ),
     )
     parser.add_argument(
@@ -1091,11 +920,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the >=100k-slot deadline cell (quick local runs)",
     )
     parser.add_argument(
-        "--skip-stacked",
-        action="store_true",
-        help="skip the stacked-round driver cell (quick local runs)",
-    )
-    parser.add_argument(
         "--skip-batch-engine",
         action="store_true",
         help="skip the batch cohort engine cells (quick local runs)",
@@ -1127,7 +951,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         long_deadline=not args.skip_long_deadline,
         relaxed_policy=not args.skip_relaxed_policy,
         batch_engine=not args.skip_batch_engine,
-        stacked_rounds=not args.skip_stacked,
         large_platform=not args.skip_largep,
         largep_smoke=args.largep_smoke,
         largep_xl=args.largep_xl,
@@ -1142,14 +965,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "sched_speedup": document["sched_speedup"],
                 "store_speedup": document["store_speedup"],
                 "body_speedup": document["body_speedup"],
-                "elision_speedup": document["elision_speedup"],
                 "batch_speedup": document.get("batch_speedup"),
-                "stacked_speedup": document.get("stacked_speedup"),
-                "rows_scored_stacked": (
-                    document["stacked_rounds"]["rows_scored_stacked"]
-                    if "stacked_rounds" in document
-                    else None
-                ),
                 # Cell parameters, so a trajectory line is interpretable
                 # without digging up the BENCH_sim.json it came from.
                 "cells": [list(cell) for cell in TABLE2_SAMPLE],
@@ -1178,24 +994,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write(text + "\n")
         cells = ", ".join(
             f"{tuple(row['cell'].values())}: {row['speedup']}x/"
-            f"{row['sched_speedup']}x/{row['body_speedup']}x/"
-            f"{row['elision_speedup']}x"
+            f"{row['sched_speedup']}x/{row['body_speedup']}x"
             + ("" if row["gated"] else " (ungated)")
             for row in document["results"]
         )
         batch = document.get("batch_speedup")
-        stacked = document.get("stacked_speedup")
         largep_ratio = document.get("largep_speedup")
         print(
             f"wrote {args.out} (overall span {document['speedup']}x, "
             f"sched {document['sched_speedup']}x, store "
-            f"{document['store_speedup']}x, body {document['body_speedup']}x, "
-            f"elision {document['elision_speedup']}x over "
-            f"{document['rounds_elided_total']} elided rounds"
+            f"{document['store_speedup']}x, body {document['body_speedup']}x"
             + (f", batch {batch}x" if batch is not None else "")
-            + (f", stacked {stacked}x" if stacked is not None else "")
             + (f", large-p {largep_ratio}x" if largep_ratio is not None else "")
-            + f"; per-cell span/sched/body/elision: {cells})",
+            + f"; per-cell span/sched/body: {cells})",
             file=sys.stderr,
         )
     else:
@@ -1225,34 +1036,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         failed = True
-    if document["elision_speedup"] < args.min_elision_speedup:
-        print(
-            f"FAIL: elision speedup {document['elision_speedup']} < "
-            f"{args.min_elision_speedup} (the exact round-relevance tier "
-            "regressed into a measurable cost)",
-            file=sys.stderr,
-        )
-        failed = True
     batch_speedup = document.get("batch_speedup")
     if batch_speedup is not None and batch_speedup < args.min_batch_speedup:
         print(
             f"FAIL: batch engine speedup {batch_speedup} < "
             f"{args.min_batch_speedup} (the cohort engine regressed below "
             "the per-run oracle on the gated batch cells)",
-            file=sys.stderr,
-        )
-        failed = True
-    stacked_row = document.get("stacked_rounds")
-    if (
-        stacked_row is not None
-        and stacked_row["gated"]
-        and stacked_row["stacked_speedup"] < args.min_stacked_speedup
-    ):
-        print(
-            f"FAIL: stacked-round speedup {stacked_row['stacked_speedup']} "
-            f"< {args.min_stacked_speedup} (the stacked-round pause seam "
-            "regressed further below the plain cohort engine on the "
-            f"gated R={stacked_row['cohort']} cell)",
             file=sys.stderr,
         )
         failed = True

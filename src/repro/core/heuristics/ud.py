@@ -152,25 +152,3 @@ class UdScheduler(GreedyScheduler):
             return 0.0 if k > 2.0 else b
         a = self._gather_belief(rs, cache, "ud_avg_down", "UD needs one")[i]
         return b * math.pow(1.0 - a, max(k - 2.0, 0.0))
-
-    def _stacked_scorer(self, rs: RoundState, cache: dict, factor):
-        e_up = self._gather_belief(rs, cache, "e_up", "UD needs one")
-        base = self._gather_belief(rs, cache, "ud_base", "UD needs one")
-        avg_down = self._gather_belief(rs, cache, "ud_avg_down", "UD needs one")
-        degenerate = self._gather_belief(rs, cache, "ud_degenerate", "UD needs one")
-        pow_ = math.pow
-
-        def scorer(ct, i):
-            k = max(1.0, 1.0 + max(ct - 1.0, 0.0) * e_up[i])
-            if degenerate[i] > 0.0:
-                return 0.0 if k > 2.0 else base[i]
-            return base[i] * pow_(1.0 - avg_down[i], max(k - 2.0, 0.0))
-
-        return scorer
-
-    # Like LW, the UD survival probability ends in ``pow`` and must stay
-    # scalar libm ``pow`` per element — the stacked kernel is the
-    # stamped-store path (vectorised reuse, scalar misses).  The exact
-    # ablation variants never reach it: ``batch_scoring`` is False there,
-    # which also keeps them off the stacked admission path.
-    score_batch_stacked = GreedyScheduler._stacked_rows_via_store

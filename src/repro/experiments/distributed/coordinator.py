@@ -265,10 +265,18 @@ class CampaignCoordinator:
         """
         self._closing = True
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, so the accept thread can exit and be joined.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover - already closed
                 pass
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)
         with self._lock:
             connections = list(self._connections)
         for conn in connections:

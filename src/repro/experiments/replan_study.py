@@ -1,9 +1,8 @@
 """Relaxed replan-policy validation study (DESIGN.md §10).
 
-The relaxed tiers of the round-relevance gating subsystem
-(``SimulatorOptions.replan_policy``: ``sticky``, ``debounce:k``,
-``relevant-up``) *change the replan-trigger semantics* — unlike the exact
-elision tier they are not bit-identical to the paper's event-driven
+The relaxed replan policies (``SimulatorOptions.replan_policy``:
+``sticky``, ``debounce:k``, ``relevant-up``) *change the replan-trigger
+semantics* — they are not bit-identical to the paper's event-driven
 design, so they must be validated the way the paper's own claims are:
 against the **shape targets** — Table 2/3 (per-heuristic average
 degradation-from-best and the induced ranking) and Figure 2 (dfb-vs-wmin
@@ -29,8 +28,8 @@ Default tolerances (reported, not enforced): a policy is flagged
 ``shape-preserving`` when its maximum dfb shift stays within
 :data:`DFB_SHIFT_TOLERANCE` points *and* its rank correlation stays above
 :data:`RANK_TOLERANCE`.  ``relevant-up`` is expected to pass both with
-margin (it hard-codes the churn class the exact tier most often proves
-irrelevant); ``sticky`` and coarse debounce windows trade shape for
+margin (it ignores only exits of empty processors, which rarely change
+the plan); ``sticky`` and coarse debounce windows trade shape for
 speed and are expected to fail the makespan side visibly — that is the
 point of printing it.
 """
@@ -97,8 +96,6 @@ class PolicyOutcome:
         dfb_by_wmin: wmin → (heuristic → average dfb) — Figure 2's axis.
         mean_makespan: heuristic → mean makespan.
         rounds: total scheduler rounds executed across all runs.
-        rounds_elided: total rounds skipped by the exact tier (the exact
-            tier stays on in every arm — it is bit-identical).
         seconds: wall-clock spent simulating this policy's sweep.
     """
 
@@ -107,7 +104,6 @@ class PolicyOutcome:
     dfb_by_wmin: Dict[int, Dict[str, float]] = field(default_factory=dict)
     mean_makespan: Dict[str, float] = field(default_factory=dict)
     rounds: int = 0
-    rounds_elided: int = 0
     seconds: float = 0.0
 
     def ranking(self) -> List[str]:
@@ -232,7 +228,6 @@ def run_replan_study(
         }
         makespan_totals: Dict[str, float] = {name: 0.0 for name in heuristics}
         rounds = 0
-        rounds_elided = 0
         count = 0
         begin = time.perf_counter()
         for wmin, scenario in population:
@@ -256,7 +251,6 @@ def run_replan_study(
                     makespans[heuristic] = float(makespan)
                     makespan_totals[heuristic] += makespan
                     rounds += report.scheduler_rounds
-                    rounds_elided += sim.rounds_elided
                 key = (*scenario.key, trial)
                 accumulator.add_instance(key, makespans)
                 by_wmin[wmin].add_instance(key, makespans)
@@ -278,7 +272,6 @@ def run_replan_study(
                     name: makespan_totals[name] / count for name in heuristics
                 },
                 rounds=rounds,
-                rounds_elided=rounds_elided,
                 seconds=seconds,
             )
         )

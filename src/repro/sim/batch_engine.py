@@ -79,7 +79,6 @@ import numpy as np
 
 from .._validation import require_positive_int
 from ..core.heuristics.registry import make_scheduler
-from ..core.heuristics.round_state import StackedRoundState
 from ..workload.scenarios import Scenario
 from .availability import (
     MarkovSource,
@@ -205,10 +204,6 @@ class _CohortRun:
     sim: MasterSimulator
     group: _TrialGroup
     row: int  # row in the runner's cohort table
-    #: Stacked-member context ``(scheduler, rs, sim, contended,
-    #: stacked_row, group_key)`` hoisted once at admission (None for
-    #: non-stacked and demoted members — the driver skips those).
-    sctx: Optional[tuple] = None
 
 
 class BatchCampaignRunner:
@@ -227,30 +222,10 @@ class BatchCampaignRunner:
         log_factory: optional ``(index, spec) -> EventLog`` giving runs
             event logs (bit-identity tests compare them against the
             per-run oracle's).
-        stack_rounds: enable the stacked-round engine (DESIGN.md §14):
-            members whose scheduler implements the CT-row hooks run with
-            ``MasterSimulator.stack_rounds`` — their scheduling rounds
-            pause at the prepare/execute seam, the driver scores all
-            paused members' ``n_q = 0`` rows against the cohort's
-            :class:`StackedRoundState` (R, p) matrices in one pass,
-            pre-computes the uniform-factor greedy placements, and
-            resumes each round bit-identically.  Stacked members run
-            *without* the states-provider memo so the event-calendar
-            platform index stays active (the provider disables it);
-            non-capable members keep the memo path unchanged.  Off by
-            default: the stacked pass is bit-identical but measures
-            ~0.92× the per-run cohort path on the benchmark grid — the
-            per-round incremental caches (§10/§12) already absorb the
-            scoring work stacking targets, and the pause seam taxes
-            every round (the measured decomposition is in DESIGN.md
-            §14).  ``benchmarks/bench_sim.py --stacked`` tracks the
-            honest ratio.
 
     Attributes:
         demotions: runs executed on the per-run path (static
             ineligibility + mid-cohort divergence).
-        rows_scored_stacked: ``n_q = 0`` score-row entries produced by
-            stacked cohort passes (benchmark instrumentation).
     """
 
     def __init__(
@@ -260,7 +235,6 @@ class BatchCampaignRunner:
         width: Optional[int] = None,
         start_horizon: int = 2048,
         log_factory: Optional[Callable[[int, BatchRunSpec], EventLog]] = None,
-        stack_rounds: bool = False,
     ):
         self._specs = list(specs)
         if width is not None:
@@ -268,16 +242,12 @@ class BatchCampaignRunner:
         self._width = width
         self._start_horizon = require_positive_int(start_horizon, "start_horizon")
         self._log_factory = log_factory
-        self.stack_rounds = bool(stack_rounds)
-        # Per-p stacked column matrices shared by all stacked members.
-        self._stacks: Dict[int, StackedRoundState] = {}
         # Cohort row table: per-row slot clock and liveness, rows reused
         # through a free list as runs complete.
         self._row_clock = np.zeros(0, dtype=np.int64)
         self._row_live = np.zeros(0, dtype=bool)
         self._free: List[int] = []
         self.demotions = 0
-        self.rows_scored_stacked = 0
 
     # ------------------------------------------------------------------ #
     # Eligibility and admission.                                           #
@@ -331,64 +301,19 @@ class BatchCampaignRunner:
             rng=spec.scenario.scheduler_rng(spec.trial, spec.heuristic),
             log=log,
         )
-        if self._stacked_capable(scheduler):
-            # Stacked member: no states-provider memo — its absence keeps
-            # the event-calendar platform index active (DESIGN.md §13),
-            # which measures within noise of the memo here and keeps the
-            # §13 boundary structures warm; the round work fuses through
-            # the stacked pass instead.
-            sim.stack_rounds = True
-        else:
-            sim.states_provider = group.provider_for(
-                [proc.availability for proc in platform]
-            )
+        sim.states_provider = group.provider_for(
+            [proc.availability for proc in platform]
+        )
         donor = belief_donors.get(id(spec.scenario))
         if donor is None:
             belief_donors[id(spec.scenario)] = sim.round_state
         else:
             sim.round_state.adopt_belief_cache(donor)
         sim.begin_run(spec.max_slots)
-        sctx = None
-        if sim.stack_rounds:
-            rs = sim.round_state
-            p = len(rs)
-            stacked = self._stacks.get(p)
-            if stacked is None:
-                stacked = self._stacks[p] = StackedRoundState(p)
-            stacked.attach(rs)
-            contended = (
-                bool(getattr(scheduler, "use_contention_factor", False))
-                and rs.ncom is not None
-            )
-            sctx = (
-                scheduler,
-                rs,
-                sim,
-                contended,
-                stacked.row_of(rs),
-                (type(scheduler), p),
-            )
         row = self._free.pop() if self._free else self._new_row()
         self._row_clock[row] = 0
         self._row_live[row] = True
-        return _CohortRun(
-            index=index, spec=spec, sim=sim, group=group, row=row, sctx=sctx
-        )
-
-    def _stacked_capable(self, scheduler) -> bool:
-        """Whether ``scheduler`` can take the stacked-round path.
-
-        The stacked pass drives the CT-row hook contract: batch scoring
-        plus the scalar ``_score_ct_one`` twin (the MCT/EMCT/LW/UD
-        families; the exact-UD ablations and the random/passive/trace
-        schedulers keep the per-run path, where they are already the
-        validated oracles).
-        """
-        return (
-            self.stack_rounds
-            and getattr(scheduler, "batch_scoring", False)
-            and getattr(scheduler, "_score_ct_one", None) is not None
-        )
+        return _CohortRun(index=index, spec=spec, sim=sim, group=group, row=row)
 
     def _release(self, run: _CohortRun) -> None:
         self._row_live[run.row] = False
@@ -416,33 +341,14 @@ class BatchCampaignRunner:
         )
         return sim.run(max_slots=spec.max_slots)
 
-    def _detach(self, run: _CohortRun) -> None:
-        """Release a stacked member's matrix row (no-op if not attached)."""
-        stacked = self._stacks.get(len(run.sim.round_state))
-        if stacked is not None:
-            stacked.detach(run.sim.round_state)
-
     def _demote(self, run: _CohortRun) -> SimulationReport:
         """Finish a diverged cohort member standalone (its views stay
         valid — they delegate growth to the base — only the shared
-        boundary hooks are stripped).
-
-        A stacked member additionally leaves the cohort matrices first
-        (columns copied back to private arrays, bit for bit) and, if it
-        diverged between prepare and execute, finishes the paused round
-        on the per-run path — :meth:`MasterSimulator.resume_round` is
-        exactly that path once ``stack_rounds`` is off.
-        """
+        boundary hooks are stripped)."""
         self.demotions += 1
-        sim = run.sim
-        sim.states_provider = None
-        sim.stack_rounds = False
-        run.sctx = None
-        self._detach(run)
-        if sim.round_pending:
-            sim.resume_round()
-        sim.advance_until(run.spec.max_slots)
-        return sim.finish_run()
+        run.sim.states_provider = None
+        run.sim.advance_until(run.spec.max_slots)
+        return run.sim.finish_run()
 
     # ------------------------------------------------------------------ #
     # The cohort loop.                                                     #
@@ -486,14 +392,8 @@ class BatchCampaignRunner:
                     group.memo.clear()
             if lagging:
                 extend_markov_sources(lagging, horizon)
-            # Advance each member to the horizon on its own clock.  A
-            # stacked member returns early whenever a scheduling round
-            # pauses at the prepare/execute seam; the lockstep inner loop
-            # collects every paused member, runs one cohort-wide stacked
-            # round over their (R, p) matrices, resumes each, and keeps
-            # sweeping until all members reached the horizon (or ended).
+            # Advance each member to the horizon on its own clock.
             still_live: List[_CohortRun] = []
-            paused: List[_CohortRun] = []
             for run in live:
                 try:
                     over = run.sim.advance_until(horizon)
@@ -501,204 +401,15 @@ class BatchCampaignRunner:
                     reports[run.index] = self._demote(run)
                     self._release(run)
                     continue
-                if run.sim.round_pending:
-                    paused.append(run)
-                    continue
                 self._row_clock[run.row] = run.sim.report.slots_simulated
                 if over:
-                    self._detach(run)
                     reports[run.index] = run.sim.finish_run()
                     self._release(run)
                 else:
                     still_live.append(run)
-            while paused:
-                self._stacked_round(paused)
-                next_paused: List[_CohortRun] = []
-                for run in paused:
-                    try:
-                        # One call resumes the round AND keeps stepping to
-                        # the horizon (or the next pause) — the driver pays
-                        # a single Python re-entry per scheduling round.
-                        over = run.sim.resume_round(advance_to=horizon)
-                    except CohortDivergence:
-                        reports[run.index] = self._demote(run)
-                        self._release(run)
-                        continue
-                    if run.sim.round_pending:
-                        next_paused.append(run)
-                        continue
-                    self._row_clock[run.row] = run.sim.report.slots_simulated
-                    if over:
-                        self._detach(run)
-                        reports[run.index] = run.sim.finish_run()
-                        self._release(run)
-                    else:
-                        still_live.append(run)
-                paused = next_paused
             live = still_live
             horizon *= 2
         return reports  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------ #
-    # The stacked round (DESIGN.md §14).                                   #
-    # ------------------------------------------------------------------ #
-    def _stacked_round(self, paused: List[_CohortRun]) -> None:
-        """Score and pre-place every paused member's round cohort-wide.
-
-        Each paused member sits between ``_round_prepare`` and
-        ``_round_execute``: its :class:`RoundState` columns are current
-        and nothing of the round has executed.  Members group by
-        (scheduler kind, p); per group one full-width integer CT matrix
-        feeds the scheduler's ``score_batch_stacked`` kernel, whose rows
-        install into each member's per-round cache — the member's own
-        ``place_array`` then finds its ``n_q = 0`` row (and, when the
-        uniform-factor placement could be pre-run, the whole placement
-        list) already computed, bit-identically.  Members the stacked
-        pass cannot serve — empty UP set, nothing to place, a genuinely
-        mixed contention factor, NaN scores (missing beliefs), or a
-        kernel-less scheduler — are simply left alone: ``resume_round``
-        computes everything on the per-run path, so skipping is always
-        correct, never wrong.
-        """
-        groups: Dict[tuple, List[tuple]] = {}
-        for run in paused:
-            sctx = run.sctx
-            if sctx is None:
-                continue
-            scheduler, rs, sim, contended, row, key = sctx
-            originals = sim._round_pending[2][0]
-            n_tasks = len(originals)
-            if n_tasks == 0:
-                continue
-            plan = scheduler._stacked_plan
-            if plan is not None and plan[0] == rs.version and plan[1] == n_tasks:
-                # The persistent plan from an earlier wave still matches
-                # the columns (elision-heavy regime): nothing to redo.
-                continue
-            cache = scheduler._round_setup(rs)
-            up_list = cache["up_list"]
-            k = len(up_list)
-            if k == 0:
-                continue
-            # Replicate ``place_array``'s up-front factor resolution: the
-            # stacked pass only serves rounds whose contention factor is
-            # provably constant (the overwhelming case); a straddling
-            # round keeps its exact mixed-factor scoring per run.
-            if not contended:
-                factor = 1
-            else:
-                no_pinned = sum(cache["pinned_zero"])
-                n_active = k - no_pinned
-                growth = no_pinned if no_pinned < n_tasks else n_tasks
-                upper = n_active + growth + 1
-                if upper > k:
-                    upper = k
-                ncom = rs.ncom
-                factor = max(1, -(-n_active // ncom))
-                if factor != max(1, -(-upper // ncom)):
-                    continue
-            entry = (scheduler, rs, cache, factor, n_tasks, row)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [entry]
-            else:
-                bucket.append(entry)
-        for (_kind, _p), entries in groups.items():
-            stacked = self._stacks[_p]
-            ready: List[tuple] = []
-            to_score: List[tuple] = []
-            for entry in entries:
-                # The persistent delta cache may have carried the row
-                # across rounds already — then there is nothing to score.
-                if entry[3] in entry[2]["row0"]:
-                    ready.append(entry)
-                else:
-                    to_score.append(entry)
-            if to_score:
-                rows = [entry[5] for entry in to_score]
-                factors = [entry[3] for entry in to_score]
-                members = [(entry[1], entry[2]) for entry in to_score]
-                index = np.array(rows, dtype=np.intp)
-                effs = np.array(
-                    [entry[3] * entry[1].t_data for entry in to_score],
-                    dtype=np.int64,
-                )
-                # Full-width CT at n_q = 0: Delay + factor·t_data + w,
-                # exact int64 — element-for-element the per-run CT base.
-                ct0 = stacked.delay[index] + effs[:, None] + stacked.speed_w[index]
-                scored = to_score[0][0].score_batch_stacked(
-                    stacked, rows, factors, ct0, members
-                )
-                if scored is not None:
-                    for entry, row0 in zip(to_score, scored):
-                        self.rows_scored_stacked += len(row0)
-                        entry[2]["row0"][entry[3]] = row0
-                        ready.append(entry)
-            if ready:
-                self._stacked_place(ready)
-
-    def _stacked_place(self, ready: List[tuple]) -> None:
-        """Pre-run the uniform-factor greedy placements cohort-wide.
-
-        One placement is one argmin over the working key row — and
-        ``argmin``'s first-occurrence rule equals the placement heap's
-        ``(key, cand, j)`` lexicographic minimum because the candidate
-        list ascends with ``j`` (the §12 precedent) — so the cohort's
-        placement loops fuse into one (K, max_up) matrix: each step is
-        a single vectorised argmin plus one scalar re-score per member
-        (the exact ``_score_ct_one`` call ``place_array`` would make).
-        The result installs as the member's ``_stacked_plan``, consumed
-        version-guarded by its next unrestricted ``place_array`` call.
-        Members whose key row holds NaN are skipped — ``place_array``
-        owns the missing-belief error semantics and must see them.
-        """
-        prepped: List[tuple] = []
-        key_rows: List[list] = []
-        max_up = 0
-        max_tasks = 0
-        for scheduler, rs, cache, factor, n_tasks, _row in ready:
-            keys = scheduler._row0_keys_list(rs, cache, factor)
-            if any(key != key for key in keys):
-                continue
-            base, step = scheduler._ct_bases(rs, cache, factor)
-            scorer = scheduler._stacked_scorer(rs, cache, factor)
-            prepped.append(
-                (
-                    scheduler,
-                    rs,
-                    n_tasks,
-                    cache["up_list"],
-                    base,
-                    step,
-                    scorer,
-                    -1.0 if scheduler.maximize else 1.0,
-                    [0] * len(keys),
-                )
-            )
-            key_rows.append(keys)
-            if len(keys) > max_up:
-                max_up = len(keys)
-            if n_tasks > max_tasks:
-                max_tasks = n_tasks
-        if not prepped:
-            return
-        working = np.full((len(prepped), max_up), np.inf, dtype=np.float64)
-        for k, keys in enumerate(key_rows):
-            working[k, : len(keys)] = keys
-        placements: List[List[int]] = [[] for _ in prepped]
-        for step_no in range(max_tasks):
-            js = working.argmin(axis=1).tolist()
-            for k, entry in enumerate(prepped):
-                if step_no >= entry[2]:
-                    continue
-                j = js[k]
-                _sched, _rs, _nt, up_list, base, step, scorer, sign, nq = entry
-                placements[k].append(up_list[j])
-                count = nq[j] + 1
-                nq[j] = count
-                working[k, j] = sign * scorer(base[j] + count * step[j], j)
-        for k, entry in enumerate(prepped):
-            entry[0]._stacked_plan = (entry[1].version, entry[2], placements[k])
 
 
 def run_unit_cohort(scenario: Scenario, unit) -> "CampaignUnitResult":

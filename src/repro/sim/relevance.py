@@ -1,26 +1,13 @@
-"""Round-relevance gating: replan policies and the exact-elision contract.
+"""Replan policies: which simulator events trigger a scheduling round.
 
-PR 3/4 made both the scheduling round and the simulator body cheap enough
-that *how often rounds run* became the dominant cost lever (ROADMAP): the
-master replans on every UP-set change while unpinned work exists, yet a
-large fraction of those rounds provably reproduce the plan they replace.
-This module holds the two knobs of the gating subsystem (DESIGN.md §10):
-
-* the **exact tier** — always on by default
-  (``SimulatorOptions.round_relevance="exact"``) and bit-identical: before
-  mutating any queue the master asks the scheduler's
-  :meth:`~repro.core.heuristics.base.Scheduler.would_replan` hook whether
-  a re-plan could change anything, and skips the round's entire mutation
-  phase (queue purges, replica drop/recreate churn, instance-table ops)
-  when the answer is a proof of reproduction.  The proof machinery lives
-  in :class:`~repro.sim.master.MasterSimulator`; this module only defines
-  the policy layer;
-
-* the **relaxed tier** — opt-in
-  (``SimulatorOptions.replan_policy``), which *changes* the replan-trigger
-  semantics and therefore the science: it is validated against the
-  paper's shape targets by ``experiments/replan_study.py`` rather than by
-  bit-identity.
+The master re-plans the unpinned remainder of the iteration at every
+*event* (DESIGN.md §3).  ``SimulatorOptions.replan_policy`` selects which
+events count (DESIGN.md §10).  The default reproduces the paper exactly;
+the *relaxed* policies change the replan-trigger semantics and therefore
+the science, so they are validated against the paper's shape targets by
+``experiments/replan_study.py`` rather than by bit-identity.  This module
+parses and describes the policies; :class:`~repro.sim.master.
+MasterSimulator` applies them.
 
 Policies (:func:`parse_replan_policy`):
 
@@ -46,9 +33,8 @@ Policies (:func:`parse_replan_policy`):
     Relevance-scoped churn: replan on UP *entries* and on exits of
     processors that carry work (a non-empty queue or partial program);
     exits of empty processors are ignored — removing a candidate that
-    hosts nothing is the churn class the exact tier most often proves
-    irrelevant, so this policy hard-codes that assumption and lets spans
-    glide over those exits.
+    hosts nothing rarely changes the plan, so this policy assumes it
+    never does and lets spans glide over those exits.
 """
 
 from __future__ import annotations

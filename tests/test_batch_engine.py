@@ -222,6 +222,36 @@ class TestBatchBitIdentity:
             ref = _reference_run(scenario, spec)
             _assert_reports_equal(got, ref, spec.heuristic)
 
+    @pytest.mark.parametrize("max_slots", [150, 50_000], ids=["deadline", "run"])
+    @pytest.mark.parametrize(
+        "policy", ["event", "sticky", "debounce:4", "relevant-up"]
+    )
+    def test_replan_policies(self, policy, max_slots):
+        # Relaxed policies move when rounds trigger; the cohort must not
+        # move anything, under either objective (150 slots ends every run
+        # before its last iteration).
+        scenario = ScenarioGenerator(6).scenario(8, 5, 2, 0)
+        options = SimulatorOptions(replan_policy=policy)
+        specs = [
+            BatchRunSpec(scenario=scenario, trial=trial, heuristic=name,
+                         max_slots=max_slots, options=options)
+            for trial in (0, 1)
+            for name in ("mct", "emct*", "lw*", "ud")
+        ]
+        logs = {}
+
+        def log_factory(index, spec):
+            logs[index] = EventLog()
+            return logs[index]
+
+        reports = BatchCampaignRunner(specs, log_factory=log_factory).run()
+        for index, (spec, got) in enumerate(zip(specs, reports)):
+            ref_log = EventLog()
+            ref = _reference_run(scenario, spec, log=ref_log)
+            assert (ref.makespan is None) == (max_slots == 150)
+            _assert_reports_equal(got, ref, spec.heuristic)
+            assert logs[index].events == ref_log.events, spec.heuristic
+
     def test_mixed_scenarios_share_nothing_across_keys(self):
         gen = ScenarioGenerator(9)
         first, second = gen.scenario(5, 5, 2, 0), gen.scenario(5, 10, 4, 1)
@@ -285,21 +315,14 @@ class TestDemotion:
         def tripping_admit(index, spec, groups, donors):
             run = admit(index, spec, groups, donors)
             if spec.heuristic == "mct":
-                # Stacked members run with no provider (their own calendar);
-                # installing one drops the run to the sweep body path, which
-                # is bit-identical, so the tripwire can gather the rows
-                # itself when there is no inner provider to delegate to.
                 inner = run.sim.states_provider
-                sources = run.sim._avail
                 calls = {"n": 0}
 
                 def tripwire(slot):
                     calls["n"] += 1
                     if calls["n"] > 5:
                         raise CohortDivergence("test divergence")
-                    if inner is not None:
-                        return inner(slot)
-                    return [source.state_at(slot) for source in sources]
+                    return inner(slot)
 
                 run.sim.states_provider = tripwire
             return run

@@ -267,6 +267,19 @@ class TestDistributedEqualsSerial:
         # get at least one unit (neither can grab the whole queue).
         assert len(backend.last_stats.per_worker) == 2
 
+    def test_campaign_leaves_no_accept_thread(self, scenarios, config):
+        def accept_threads():
+            return {
+                thread
+                for thread in threading.enumerate()
+                if thread.name == "coordinator-accept"
+            }
+
+        before = accept_threads()
+        for _ in range(2):
+            run_campaign(scenarios, config, backend=DistributedBackend(2))
+        assert accept_threads() - before == set()
+
     def test_checkpointed_run_then_full_restore(
         self, tmp_path, scenarios, config, serial_result
     ):

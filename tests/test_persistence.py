@@ -1,10 +1,16 @@
 """Tests for campaign persistence (save / load / rebuild / merge / shards)."""
 
+import copy
 import json
 
 import pytest
 
-from repro.experiments.harness import CampaignConfig, run_campaign
+from repro.experiments.harness import (
+    CampaignConfig,
+    _campaign_fingerprint,
+    iter_work_units,
+    run_campaign,
+)
 from repro.experiments.persistence import (
     CampaignCheckpoint,
     ShardedCheckpoint,
@@ -295,3 +301,30 @@ class TestShardedResume:
             assert resumed.accumulator.average_dfb_ci(
                 name
             ) == campaign.accumulator.average_dfb_ci(name)
+
+
+class TestOldJournalFingerprints:
+    """Journals written under since-removed options must not resume."""
+
+    @pytest.mark.parametrize("layout", ["single", "sharded"])
+    def test_removed_option_in_meta_rejected(self, tmp_path, scenarios, layout):
+        config = CampaignConfig(heuristics=("mct", "random"), trials=2)
+        units = list(iter_work_units(scenarios, config))
+        meta = _campaign_fingerprint(units, config)
+        # The fingerprint an older build wrote: its options still carried
+        # the exact round-elision switch.
+        old_meta = copy.deepcopy(meta)
+        old_meta["options"]["round_relevance"] = "exact"
+        path = tmp_path / "camp.ckpt"
+        if layout == "single":
+            CampaignCheckpoint(path, meta=old_meta).append(
+                units[0].instance_key, {"mct": 10.0, "random": 12.0}
+            )
+            checkpoint = path
+        else:
+            ShardedCheckpoint(path, shards=2, meta=old_meta).append(
+                units[0].instance_key, {"mct": 10.0, "random": 12.0}
+            )
+            checkpoint = ShardedCheckpoint(path, shards=2, meta=meta)
+        with pytest.raises(ValueError, match="different campaign"):
+            run_campaign(scenarios, config, checkpoint=checkpoint)

@@ -150,12 +150,6 @@ class TestReplanStudy:
         deviation = result.deviation(sticky)
         assert deviation["round_reduction"] > 0.2
 
-    def test_exact_tier_active_in_every_arm(self, result):
-        # The exact tier is bit-identical, so it stays on under every
-        # policy; on these multi-worker cells it proves at least one round.
-        for outcome in result.outcomes:
-            assert outcome.rounds_elided > 0
-
     def test_rejects_bad_policy_before_running(self):
         from repro.experiments.replan_study import run_replan_study
 
