@@ -3,7 +3,9 @@
 The equivalence suites compare arms of one build against each other; this
 file compares the build against numbers recorded once, so a refactor that
 shifts every arm together still fails here.  Each row is one run of a
-paper heuristic on a fixed scenario under one objective:
+registry heuristic (the 17 paper heuristics, the passive and exact-UD
+ablations, and the clairvoyant bound) on a fixed scenario under one
+objective:
 
 * ``run`` — :meth:`MasterSimulator.run` to the scenario's 10 iterations;
 * ``slots`` — :meth:`MasterSimulator.run_slots` for the scenario's slot
@@ -16,7 +18,11 @@ alter results, with ``PYTHONPATH=src python tests/test_golden_outcomes.py``.
 
 import pytest
 
-from repro.core.heuristics.registry import PAPER_HEURISTICS, make_scheduler
+from repro.core.heuristics.registry import (
+    HEURISTIC_FACTORIES,
+    PAPER_HEURISTICS,
+    make_scheduler,
+)
 from repro.sim.master import MasterSimulator
 from repro.workload.scenarios import ScenarioGenerator
 
@@ -46,6 +52,10 @@ GOLDEN = {
     ('small', 'lw*', 'run'): (79, 10, 58, 106),
     ('small', 'ud', 'run'): (81, 10, 57, 92),
     ('small', 'ud*', 'run'): (81, 10, 57, 92),
+    ('small', 'passive', 'run'): (112, 10, 78, 172),
+    ('small', 'ud*-exact', 'run'): (78, 10, 56, 102),
+    ('small', 'ud-exact', 'run'): (78, 10, 56, 102),
+    ('small', 'clairvoyant', 'run'): (68, 10, 52, 90),
     ('small', 'random', 'slots'): (None, 4, 41, 64),
     ('small', 'random1', 'slots'): (None, 3, 40, 54),
     ('small', 'random2', 'slots'): (None, 3, 37, 65),
@@ -63,6 +73,10 @@ GOLDEN = {
     ('small', 'lw*', 'slots'): (None, 6, 46, 90),
     ('small', 'ud', 'slots'): (None, 5, 43, 75),
     ('small', 'ud*', 'slots'): (None, 5, 43, 75),
+    ('small', 'passive', 'slots'): (None, 4, 43, 96),
+    ('small', 'ud*-exact', 'slots'): (None, 6, 43, 84),
+    ('small', 'ud-exact', 'slots'): (None, 6, 43, 84),
+    ('small', 'clairvoyant', 'slots'): (None, 8, 45, 83),
     ('p20', 'random', 'run'): (905, 10, 568, 454),
     ('p20', 'random1', 'run'): (780, 10, 485, 371),
     ('p20', 'random2', 'run'): (737, 10, 453, 332),
@@ -80,6 +94,10 @@ GOLDEN = {
     ('p20', 'lw*', 'run'): (731, 10, 465, 362),
     ('p20', 'ud', 'run'): (700, 10, 444, 351),
     ('p20', 'ud*', 'run'): (700, 10, 444, 351),
+    ('p20', 'passive', 'run'): (1278, 10, 739, 639),
+    ('p20', 'ud*-exact', 'run'): (735, 10, 446, 384),
+    ('p20', 'ud-exact', 'run'): (735, 10, 446, 384),
+    ('p20', 'clairvoyant', 'run'): (610, 10, 403, 301),
     ('p20', 'random', 'slots'): (None, 5, 357, 281),
     ('p20', 'random1', 'slots'): (None, 7, 373, 281),
     ('p20', 'random2', 'slots'): (None, 7, 367, 246),
@@ -97,6 +115,10 @@ GOLDEN = {
     ('p20', 'lw*', 'slots'): (None, 7, 380, 283),
     ('p20', 'ud', 'slots'): (None, 7, 379, 296),
     ('p20', 'ud*', 'slots'): (None, 7, 379, 296),
+    ('p20', 'passive', 'slots'): (None, 4, 352, 221),
+    ('p20', 'ud*-exact', 'slots'): (None, 7, 364, 288),
+    ('p20', 'ud-exact', 'slots'): (None, 7, 364, 288),
+    ('p20', 'clairvoyant', 'slots'): (None, 9, 398, 295),
 }
 
 
@@ -122,11 +144,17 @@ def outcome(scenario_name, heuristic, objective):
     )
 
 
+#: Paper heuristics first, then the rest of the registry and the
+#: clairvoyant bound.
+HEURISTICS = list(PAPER_HEURISTICS) + sorted(
+    set(HEURISTIC_FACTORIES) - set(PAPER_HEURISTICS)
+) + ["clairvoyant"]
+
 CASES = [
     (scenario_name, heuristic, objective)
     for scenario_name in SCENARIOS
     for objective in ("run", "slots")
-    for heuristic in PAPER_HEURISTICS
+    for heuristic in HEURISTICS
 ]
 
 

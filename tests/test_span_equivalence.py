@@ -12,7 +12,8 @@ logic skipped an observable event.
 import numpy as np
 import pytest
 
-from repro.core.heuristics.registry import make_scheduler
+from repro.core.heuristics.base import Scheduler
+from repro.core.heuristics.registry import HEURISTIC_FACTORIES, make_scheduler
 from repro.core.markov import paper_random_model
 from repro.rng import RngFactory
 from repro.sim.availability import SemiMarkovSource, WeibullSource
@@ -22,6 +23,8 @@ from repro.sim.platform import Platform, Processor
 from repro.types import ProcState
 from repro.workload.application import IterativeApplication
 from repro.workload.scenarios import ScenarioGenerator
+
+ALL_HEURISTICS = sorted(HEURISTIC_FACTORIES) + ["clairvoyant"]
 
 
 def run_both(build_platform, app, heuristic, *, options_kwargs=None,
@@ -122,6 +125,54 @@ class TestPaperGridOracle:
         assert reports["span"] == reports["slot"]
         # Span mode must actually have skipped slots somewhere.
         assert reports["span"].slots_simulated > 0
+
+
+class TestFullRegistry:
+    """Every registry heuristic and the clairvoyant bound, both
+    objectives, on one small cell — the sweeps above sample only a few."""
+
+    @pytest.mark.parametrize("objective", ["run", "run_slots"])
+    @pytest.mark.parametrize("heuristic", ALL_HEURISTICS)
+    def test_bit_identical(self, heuristic, objective):
+        trial = 0 if objective == "run" else 1
+        scenario = ScenarioGenerator(12061).scenario(5, 5, 1 + trial, trial)
+        outcomes = run_both(
+            lambda: scenario.build_platform(trial),
+            scenario.app,
+            heuristic,
+            objective=objective,
+            budget=30_000 if objective == "run" else 800,
+        )
+        assert_identical(outcomes)
+        if objective == "run":
+            assert outcomes["span"][0].makespan is not None  # finished
+
+    def test_external_scheduler(self):
+        """A Scheduler subclass the package knows nothing about steps
+        through spans exactly as through slots."""
+
+        class FirstUpScheduler(Scheduler):
+            name = "first-up"
+
+            def select(self, ctx, candidates, nq, n_active):
+                return candidates[0].index if candidates else None
+
+        scenario = ScenarioGenerator(12061).scenario(10, 5, 2, 0)
+        outcomes = {}
+        for mode in ("slot", "span"):
+            log = EventLog(enabled=True)
+            sim = MasterSimulator(
+                scenario.build_platform(0),
+                scenario.app,
+                FirstUpScheduler(),
+                options=SimulatorOptions(step_mode=mode),
+                rng=scenario.scheduler_rng(0, "first-up"),
+                log=log,
+            )
+            report = sim.run(max_slots=40_000)
+            outcomes[mode] = (report, log.events, sim.network.usage)
+        assert_identical(outcomes)
+        assert outcomes["span"][0].makespan is not None
 
 
 class TestOptionVariants:
