@@ -6,30 +6,28 @@ so successive PRs accumulate a perf trajectory::
 
     PYTHONPATH=src python benchmarks/bench_sim.py --out BENCH_sim.json
 
-Three comparisons are timed, over the same (cell, scenario, trial,
+Two comparisons are timed, over the same (cell, scenario, trial,
 heuristic, objective) population, all within one process with the
 configurations interleaved per run (the only timing methodology that
 survives noisy shared runners):
 
-* **stepping** — the slot-stepped oracle loop vs the span-stepped default
-  (DESIGN.md §6), both on the array scheduler API and array instance
-  store;
-* **scheduling API** — the legacy scalar scheduler path vs the
-  array-backed batch path (incrementally maintained ``RoundState`` +
-  vectorised ``score_batch``, DESIGN.md §8), both span-stepped on the
-  array store.  The scheduling-round time is measured directly by
-  wrapping the round driver, so each cell reports ``round_time_share``
-  and ``rounds_per_sec`` for both APIs plus their ratio ``sched_speedup``;
-* **instance store / simulator body** — the legacy Python-list instance
-  store vs the structure-of-arrays ``InstanceTable`` with the vectorised
-  body (DESIGN.md §9), both span-stepped on the array scheduler API.
-  ``store_speedup`` is the end-to-end ratio; ``body_speedup`` compares
-  the *body* seconds (wall-clock minus the measured round seconds).
+* **stepping** — slot stepping vs the span-stepped default (DESIGN.md
+  §6) of :class:`~repro.sim.master.MasterSimulator`;
+* **reference** — the default path vs the in-process
+  :class:`~repro.sim.reference.ReferenceSimulator` (DESIGN.md §3): a
+  plain slot loop that rebuilds every ``ProcessorView`` per round and
+  places through the scalar ``Scheduler.place``.  ``reference_speedup``
+  is the end-to-end ratio.  The scheduling-round time of both is
+  measured directly by wrapping each simulator's round function, so each
+  cell also reports ``round_time_share``, ``rounds_per_sec`` and the
+  round and body (wall-clock minus rounds) ratios
+  ``reference_sched_speedup`` / ``reference_body_speedup``, which name
+  the layer a change in the headline ratio moved.
 
 A **long-horizon deadline cell** (``run_slots`` over ≥100k slots) rides
 along to exercise the run-length-encoded availability sources where the
-dense representation hurts most; its row reports the same store/body
-metrics plus the measured ``trace_compression``.
+dense representation hurts most; its row reports the default path's
+throughput plus the measured ``trace_compression``.
 
 **Large-platform cells** (DESIGN.md §12) time the event-calendar
 platform engine (``platform_index="calendar"``) against the O(p)
@@ -47,8 +45,8 @@ A **relaxed-policy row** (recorded, never gated) times one cell under
 the speedup *and* the makespan deviation it buys — relaxed policies
 change the science, so their numbers are documentation, not a gate.
 
-Every simulated instance is asserted **bit-identical** across the four
-bit-exact configurations before any number is reported; both objectives
+Every simulated instance is asserted **bit-identical** across the three
+configurations before any number is reported; both objectives
 are covered (``run`` for the makespan protocol, ``run_slots`` for the
 Section 3.4 deadline form).  A speedup that changed the science would be
 worthless.
@@ -63,12 +61,12 @@ only.
 CI gates: ``--min-speedup`` (default 0.95) fails the job when span mode
 falls measurably below slot mode on the gated cells (the two are at
 structural parity on churn-dense cells and the margin absorbs shared-
-runner noise); ``--min-sched-speedup``
-(default 1.0) fails it when the batch scheduler path regresses below the
-legacy scalar path; ``--min-body-speedup`` (default 1.0) fails it when
-the array instance store's body regresses below the legacy list store;
-``--min-trace-compression`` (default 6.0) fails it when the RLE sources
-stop beating the dense representation on the long-horizon cell;
+runner noise); ``--min-reference-speedup`` (default 1.2) fails it when
+the default path's lead over the reference simulator falls below that
+ratio on the gated cells (measured 1.31–1.40: slower rounds or a slower
+body each pull it below the floor); ``--min-trace-compression``
+(default 6.0) fails it when the RLE sources stop beating the dense
+representation on the long-horizon cell;
 ``--min-largep-speedup`` (default 1.0) fails it when the event-calendar
 platform engine falls below that ratio over the sweep oracle on the
 largest gated large-platform cell; ``--max-largep-bytes-per-worker``
@@ -89,6 +87,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.heuristics.registry import make_scheduler
 from repro.core.markov import MarkovAvailabilityModel
 from repro.sim.master import MasterSimulator, SimulatorOptions
+from repro.sim.reference import ReferenceSimulator
 from repro.types import ProcState
 from repro.workload.scenarios import ScenarioGenerator
 
@@ -150,50 +149,45 @@ LARGEP_POLICY = "sticky"
 LARGEP_SMOKE_SIZE = 2_000
 LARGEP_SMOKE_MAX_SLOTS = 6_000
 
-#: (step_mode, scheduler_api, instance_store) configurations per run.
-#: The first is the bit-identity reference; the second is the default.
-CONFIGS: Tuple[Tuple[str, str, str], ...] = (
-    ("slot", "array", "array"),
-    ("span", "array", "array"),
-    ("span", "legacy", "array"),
-    ("span", "array", "legacy"),
-)
-
-DEFAULT = ("span", "array", "array")
-LEGACY_STORE = ("span", "array", "legacy")
-LEGACY_API = ("span", "legacy", "array")
-SLOT = ("slot", "array", "array")
+#: Configurations per run: the two step modes of the default simulator
+#: and the reference simulator.  The first is the bit-identity reference.
+SLOT = "slot"
+DEFAULT = "span"
+REFERENCE = "reference"
+CONFIGS: Tuple[str, ...] = (SLOT, DEFAULT, REFERENCE)
 
 
 def _simulate(scenario, trial: int, heuristic: str, config, objective: str,
               deadline_slots: int = DEADLINE_SLOTS,
               replan_policy: str = "event"):
-    mode, api, store = config
     platform = scenario.build_platform(trial)
-    sim = MasterSimulator(
+    options = SimulatorOptions(
+        step_mode="slot" if config == SLOT else "span",
+        replan_policy=replan_policy,
+    )
+    simulator = ReferenceSimulator if config == REFERENCE else MasterSimulator
+    sim = simulator(
         platform,
         scenario.app,
         make_scheduler(heuristic, platform=platform),
-        options=SimulatorOptions(
-            step_mode=mode,
-            scheduler_api=api,
-            instance_store=store,
-            replan_policy=replan_policy,
-        ),
+        options=options,
         rng=scenario.scheduler_rng(trial, heuristic),
     )
     # Wrap the round driver so the scheduling share of wall-clock is
-    # measured directly (includes the triviality check and context
-    # refresh/build — the full per-round cost any configuration pays).
+    # measured directly (includes the triviality check and the view
+    # refresh/build — the full per-round cost either simulator pays).
     round_clock = {"seconds": 0.0}
-    inner_round = sim._scheduling_round
+    round_attr = (
+        "scheduling_round" if config == REFERENCE else "_scheduling_round"
+    )
+    inner_round = getattr(sim, round_attr)
 
     def timed_round(slot, states):
         begin = time.perf_counter()
         inner_round(slot, states)
         round_clock["seconds"] += time.perf_counter() - begin
 
-    sim._scheduling_round = timed_round
+    setattr(sim, round_attr, timed_round)
     start = time.perf_counter()
     if objective == "run":
         report = sim.run(max_slots=500_000)
@@ -209,9 +203,9 @@ def _simulate(scenario, trial: int, heuristic: str, config, objective: str,
     return {
         "report": report,
         "elapsed": elapsed,
-        "steps": sim.steps_executed,
+        "steps": getattr(sim, "steps_executed", 0),
         "round_seconds": round_clock["seconds"],
-        "instance_ops": sim.instance_ops,
+        "instance_ops": getattr(sim, "instance_ops", 0),
         "trace_bytes": trace_bytes,
         "dense_bytes": dense_bytes,
     }
@@ -290,13 +284,11 @@ def _bench_cell(
                 best[config] = rep[config]
     slot_s = best[SLOT]["seconds"]
     span_s = best[DEFAULT]["seconds"]
-    legacy_api_s = best[LEGACY_API]["seconds"]
-    legacy_store_s = best[LEGACY_STORE]["seconds"]
-    array_round_s = best[DEFAULT]["round_seconds"]
-    legacy_api_round_s = best[LEGACY_API]["round_seconds"]
-    legacy_store_round_s = best[LEGACY_STORE]["round_seconds"]
-    array_body_s = span_s - array_round_s
-    legacy_store_body_s = legacy_store_s - legacy_store_round_s
+    ref_s = best[REFERENCE]["seconds"]
+    span_round_s = best[DEFAULT]["round_seconds"]
+    ref_round_s = best[REFERENCE]["round_seconds"]
+    span_body_s = span_s - span_round_s
+    ref_body_s = ref_s - ref_round_s
     return {
         "cell": {"n": n, "ncom": ncom, "wmin": wmin},
         "runs": len(runs),
@@ -304,38 +296,36 @@ def _bench_cell(
         "gated": span_s >= NOISE_FLOOR_SECONDS,
         "slot_seconds": round(slot_s, 4),
         "span_seconds": round(span_s, 4),
-        "legacy_api_seconds": round(legacy_api_s, 4),
-        "legacy_store_seconds": round(legacy_store_s, 4),
+        "reference_seconds": round(ref_s, 4),
         "slots_per_sec_slot": round(slots_total / slot_s, 1),
         "slots_per_sec_span": round(slots_total / span_s, 1),
-        "slots_per_sec_legacy_store": round(slots_total / legacy_store_s, 1),
+        "slots_per_sec_reference": round(slots_total / ref_s, 1),
         "speedup": round(slot_s / span_s, 3),
+        "reference_speedup": round(ref_s / span_s, 3),
         "rounds": rounds_total,
         "round_seconds": {
-            "array": round(array_round_s, 4),
-            "legacy_api": round(legacy_api_round_s, 4),
-            "legacy_store": round(legacy_store_round_s, 4),
+            "span": round(span_round_s, 4),
+            "reference": round(ref_round_s, 4),
         },
         "round_time_share": {
-            "array": round(array_round_s / span_s, 3),
-            "legacy_api": round(legacy_api_round_s / legacy_api_s, 3),
+            "span": round(span_round_s / span_s, 3),
+            "reference": round(ref_round_s / ref_s, 3),
         },
         "rounds_per_sec": {
-            "array": round(rounds_total / array_round_s, 1),
-            "legacy_api": round(rounds_total / legacy_api_round_s, 1),
+            "span": round(rounds_total / span_round_s, 1),
+            "reference": round(rounds_total / ref_round_s, 1),
         },
-        "sched_speedup": round(legacy_api_round_s / array_round_s, 3),
-        # Simulator body (DESIGN.md §9): everything outside the rounds.
+        "reference_sched_speedup": round(ref_round_s / span_round_s, 3),
+        # Simulator body: everything outside the rounds.
         "body_seconds": {
-            "array": round(array_body_s, 4),
-            "legacy_store": round(legacy_store_body_s, 4),
+            "span": round(span_body_s, 4),
+            "reference": round(ref_body_s, 4),
         },
         "body_time_share": {
-            "array": round(array_body_s / span_s, 3),
-            "legacy_store": round(legacy_store_body_s / legacy_store_s, 3),
+            "span": round(span_body_s / span_s, 3),
+            "reference": round(ref_body_s / ref_s, 3),
         },
-        "body_speedup": round(legacy_store_body_s / array_body_s, 3),
-        "store_speedup": round(legacy_store_s / span_s, 3),
+        "reference_body_speedup": round(ref_body_s / span_body_s, 3),
         "instance_ops": instance_ops_total,
         "trace_bytes": trace_bytes_total,
         "trace_dense_bytes": dense_bytes_total,
@@ -355,11 +345,11 @@ def _bench_long_deadline(
 ) -> Dict:
     """The ≥100k-slot deadline cell: RLE storage under a long horizon.
 
-    Times only the two store configurations (the stepping/scheduling
-    comparisons are covered by the Table 2 cells) and asserts their
-    reports identical.  As in the deadline study, the iteration target is
-    raised far beyond what the budget can fit, so the slot budget binds
-    and the availability traces genuinely span the horizon.
+    Times the default configuration only (the stepping and reference
+    comparisons are covered by the Table 2 cells).  As in the deadline
+    study, the iteration target is raised far beyond what the budget can
+    fit, so the slot budget binds and the availability traces genuinely
+    span the horizon.
     """
     n, ncom, wmin = LONG_DEADLINE_CELL
     scenario = generator.scenario(n, ncom, wmin, 0)
@@ -367,27 +357,17 @@ def _bench_long_deadline(
         scenario,
         app=dataclasses.replace(scenario.app, iterations=1_000_000),
     )
-    configs = (LEGACY_STORE, DEFAULT)
-    best = {config: float("inf") for config in configs}
+    best = float("inf")
     default_out: Dict = {}
     for _rep in range(max(1, repetitions)):
-        outs = {}
-        for config in configs:
-            outs[config] = _simulate(
-                scenario, 0, heuristic, config, "run_slots",
-                deadline_slots=LONG_DEADLINE_SLOTS,
-            )
-        if outs[DEFAULT]["report"] != outs[LEGACY_STORE]["report"]:
-            raise AssertionError(  # pragma: no cover
-                "store configurations diverged on the long deadline cell"
-            )
-        for config in configs:
-            if outs[config]["elapsed"] < best[config]:
-                best[config] = outs[config]["elapsed"]
-        if not default_out:
-            # Diagnostics (slots, ops, bytes) are deterministic across
-            # repetitions; capture them once, timings take the best-of.
-            default_out = outs[DEFAULT]
+        out = _simulate(
+            scenario, 0, heuristic, DEFAULT, "run_slots",
+            deadline_slots=LONG_DEADLINE_SLOTS,
+        )
+        best = min(best, out["elapsed"])
+        # Diagnostics (slots, ops, bytes) are deterministic across
+        # repetitions; capture them once, timings take the best-of.
+        default_out = default_out or out
     slots = default_out["report"].slots_simulated
     return {
         "cell": {"n": n, "ncom": ncom, "wmin": wmin},
@@ -395,10 +375,8 @@ def _bench_long_deadline(
         "deadline_slots": LONG_DEADLINE_SLOTS,
         "heuristic": heuristic,
         "slots": slots,
-        "span_seconds": round(best[DEFAULT], 4),
-        "legacy_store_seconds": round(best[LEGACY_STORE], 4),
-        "slots_per_sec_span": round(slots / best[DEFAULT], 1),
-        "store_speedup": round(best[LEGACY_STORE] / best[DEFAULT], 3),
+        "span_seconds": round(best, 4),
+        "slots_per_sec_span": round(slots / best, 1),
         "instance_ops": default_out["instance_ops"],
         "trace_bytes": default_out["trace_bytes"],
         "trace_dense_bytes": default_out["dense_bytes"],
@@ -696,13 +674,13 @@ def run_benchmark(
     largep_smoke: bool = False,
     largep_xl: bool = False,
 ) -> Dict:
-    """Time stepping modes, scheduler APIs and instance stores over the
-    Table 2 sample (plus the long-horizon deadline cell and the
-    relaxed-policy documentation row).
+    """Time the step modes and the reference simulator over the Table 2
+    sample (plus the long-horizon deadline cell and the relaxed-policy
+    documentation row).
 
     Returns the JSON-ready document; reports are asserted bit-identical
-    between all bit-exact configurations for every simulated instance
-    before timings count.  Overall gate ratios aggregate the noise-gated
+    between all configurations for every simulated instance before
+    timings count.  Overall gate ratios aggregate the noise-gated
     cells only (``"gated": true`` rows).
     """
     generator = ScenarioGenerator(seed)
@@ -727,11 +705,11 @@ def run_benchmark(
 
     slot_total = total("slot_seconds")
     span_total = total("span_seconds")
-    legacy_api_round_total = total("round_seconds", "legacy_api")
-    array_round_total = total("round_seconds", "array")
-    legacy_store_total = total("legacy_store_seconds")
-    array_body_total = total("body_seconds", "array")
-    legacy_body_total = total("body_seconds", "legacy_store")
+    ref_total = total("reference_seconds")
+    span_round_total = total("round_seconds", "span")
+    ref_round_total = total("round_seconds", "reference")
+    span_body_total = total("body_seconds", "span")
+    ref_body_total = total("body_seconds", "reference")
     document = {
         "benchmark": "sim-span-stepping",
         "unix_time": int(time.time()),
@@ -742,7 +720,7 @@ def run_benchmark(
             "trials": trials,
             "heuristics": list(heuristics),
             "objectives": ["run", "run_slots"],
-            "configs": [list(config) for config in CONFIGS],
+            "configs": list(CONFIGS),
             "seed": seed,
             "repetitions": repetitions,
             "deadline_slots": DEADLINE_SLOTS,
@@ -755,14 +733,14 @@ def run_benchmark(
         "slot_seconds_total": round(slot_total, 4),
         "span_seconds_total": round(span_total, 4),
         "speedup": round(slot_total / span_total, 3),
+        "reference_seconds_total": round(ref_total, 4),
+        "reference_speedup": round(ref_total / span_total, 3),
         "round_seconds_total": {
-            "array": round(array_round_total, 4),
-            "legacy_api": round(legacy_api_round_total, 4),
+            "span": round(span_round_total, 4),
+            "reference": round(ref_round_total, 4),
         },
-        "sched_speedup": round(legacy_api_round_total / array_round_total, 3),
-        "legacy_store_seconds_total": round(legacy_store_total, 4),
-        "store_speedup": round(legacy_store_total / span_total, 3),
-        "body_speedup": round(legacy_body_total / array_body_total, 3),
+        "reference_sched_speedup": round(ref_round_total / span_round_total, 3),
+        "reference_body_speedup": round(ref_body_total / span_body_total, 3),
         "reports_identical": True,
     }
     if long_deadline:
@@ -827,23 +805,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--min-sched-speedup",
+        "--min-reference-speedup",
         type=float,
-        default=1.0,
+        default=1.2,
         help=(
-            "exit non-zero when the batch (array) scheduler path's "
-            "round throughput falls below the legacy scalar path "
-            "(legacy_api round seconds / array round seconds)"
-        ),
-    )
-    parser.add_argument(
-        "--min-body-speedup",
-        type=float,
-        default=1.0,
-        help=(
-            "exit non-zero when the array instance store's simulator "
-            "body falls below the legacy list store "
-            "(legacy-store body seconds / array-store body seconds)"
+            "exit non-zero when the default path's end-to-end lead over "
+            "the in-process reference simulator falls below this on the "
+            "noise-gated cells (reference seconds / span seconds; "
+            "measured 1.31-1.40 on one core).  Rounds are ~52%% of the "
+            "default path's time: rounds 2x slower would pull the ratio "
+            "to ~0.9, a body 1.42x slower to ~1.1 — the margins the "
+            "batch scheduler path and the instance table won over the "
+            "scalar path and the list store"
         ),
     )
     parser.add_argument(
@@ -962,9 +935,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "sim-hot-loop",
             {
                 "speedup": document["speedup"],
-                "sched_speedup": document["sched_speedup"],
-                "store_speedup": document["store_speedup"],
-                "body_speedup": document["body_speedup"],
+                "reference_speedup": document["reference_speedup"],
+                "reference_sched_speedup": document["reference_sched_speedup"],
+                "reference_body_speedup": document["reference_body_speedup"],
                 "batch_speedup": document.get("batch_speedup"),
                 # Cell parameters, so a trajectory line is interpretable
                 # without digging up the BENCH_sim.json it came from.
@@ -994,7 +967,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write(text + "\n")
         cells = ", ".join(
             f"{tuple(row['cell'].values())}: {row['speedup']}x/"
-            f"{row['sched_speedup']}x/{row['body_speedup']}x"
+            f"{row['reference_speedup']}x"
             + ("" if row["gated"] else " (ungated)")
             for row in document["results"]
         )
@@ -1002,11 +975,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         largep_ratio = document.get("largep_speedup")
         print(
             f"wrote {args.out} (overall span {document['speedup']}x, "
-            f"sched {document['sched_speedup']}x, store "
-            f"{document['store_speedup']}x, body {document['body_speedup']}x"
+            f"reference {document['reference_speedup']}x (rounds "
+            f"{document['reference_sched_speedup']}x, body "
+            f"{document['reference_body_speedup']}x)"
             + (f", batch {batch}x" if batch is not None else "")
             + (f", large-p {largep_ratio}x" if largep_ratio is not None else "")
-            + f"; per-cell span/sched/body: {cells})",
+            + f"; per-cell span/reference: {cells})",
             file=sys.stderr,
         )
     else:
@@ -1020,19 +994,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         failed = True
-    if document["sched_speedup"] < args.min_sched_speedup:
+    if document["reference_speedup"] < args.min_reference_speedup:
         print(
-            f"FAIL: batch scheduling speedup {document['sched_speedup']} < "
-            f"{args.min_sched_speedup} (array RoundState path regressed "
-            "below the legacy scalar scheduler path)",
-            file=sys.stderr,
-        )
-        failed = True
-    if document["body_speedup"] < args.min_body_speedup:
-        print(
-            f"FAIL: simulator body speedup {document['body_speedup']} < "
-            f"{args.min_body_speedup} (array InstanceTable body regressed "
-            "below the legacy list-store body)",
+            f"FAIL: reference speedup {document['reference_speedup']} < "
+            f"{args.min_reference_speedup} (the default path lost ground "
+            "to the reference simulator on the gated cells: rounds "
+            f"{document['reference_sched_speedup']}x, body "
+            f"{document['reference_body_speedup']}x)",
             file=sys.stderr,
         )
         failed = True

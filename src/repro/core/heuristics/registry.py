@@ -11,12 +11,15 @@ cache per-processor quantities keyed by processor index (and, on the array
 path, per-round score rows keyed by the round state's refresh token), so
 instances must not be shared between platforms.
 
-Every registry heuristic runs on both scheduler APIs (DESIGN.md §8): the
-batch :meth:`~repro.core.heuristics.base.Scheduler.place_array` path over
-an array-backed ``RoundState`` — natively for the greedy/random/passive
+Every registry heuristic serves both scheduler entry points (DESIGN.md
+§8).  :class:`~repro.sim.master.MasterSimulator` calls the batch
+:meth:`~repro.core.heuristics.base.Scheduler.place_array` over its
+array-backed ``RoundState`` — natively for the greedy/random/passive
 families and the clairvoyant baseline, via the lazy compatibility shim for
-the exact-UD ablations — and the legacy scalar ``place`` path, with
-bit-identical placements (``tests/test_scheduler_api_equivalence.py``).
+the exact-UD ablations.  :class:`~repro.sim.reference.ReferenceSimulator`
+calls the scalar ``place`` over eagerly built ``ProcessorView`` snapshots.
+The two simulators produce bit-identical runs for every registry
+heuristic (``tests/test_reference_equivalence.py``).
 """
 
 from __future__ import annotations

@@ -321,7 +321,8 @@ class RoundState:
         """Materialise the legacy :class:`ProcessorView` for processor ``q``.
 
         Cached until :meth:`invalidate`; field-for-field equal to the
-        eager snapshot the legacy ``_build_context`` would have built.
+        eager snapshot :class:`~repro.sim.reference.ReferenceSimulator`
+        builds for the same simulation state.
         """
         cached = self._views.get(q)
         if cached is None:

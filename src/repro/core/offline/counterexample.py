@@ -34,6 +34,7 @@ __all__ = [
     "paper_counterexample",
     "extended_counterexample",
     "CounterexampleAnalysis",
+    "online_setup",
     "analyze",
 ]
 
@@ -91,6 +92,32 @@ class CounterexampleAnalysis:
     mct_first_choice_processor: int
 
 
+def online_setup(extra_up_slots: int = 6):
+    """The extended instance as simulator inputs.
+
+    Returns:
+        ``(platform, app, max_slots)``: the trace-driven platform, the
+        one-iteration application and the slot budget (horizon + 1) of
+        the online MCT run in :func:`analyze`.
+    """
+    from ...sim.platform import Platform, Processor
+    from ...workload.application import IterativeApplication
+
+    extended = extended_counterexample(extra_up_slots)
+    processors = [
+        Processor.from_trace(q, extended.speeds[q], extended.traces[q])
+        for q in range(extended.p)
+    ]
+    platform = Platform(processors, ncom=extended.ncom)
+    app = IterativeApplication(
+        tasks_per_iteration=extended.m,
+        iterations=1,
+        t_prog=extended.t_prog,
+        t_data=extended.t_data,
+    )
+    return platform, app, extended.horizon + 1
+
+
 def analyze(extra_up_slots: int = 6) -> CounterexampleAnalysis:
     """Run the complete counterexample comparison.
 
@@ -117,33 +144,18 @@ def analyze(extra_up_slots: int = 6) -> CounterexampleAnalysis:
     del mct_result  # the assignment itself is exercised in tests
 
     # Online MCT on the extended instance.
-    from ...workload.application import IterativeApplication
     from ...sim.master import MasterSimulator, SimulatorOptions
-    from ...sim.platform import Platform, Processor
     from ..heuristics.mct import MctScheduler
 
-    extended = extended_counterexample(extra_up_slots)
-    processors = [
-        Processor.from_trace(q, extended.speeds[q], extended.traces[q])
-        for q in range(extended.p)
-    ]
-    platform = Platform(processors, ncom=extended.ncom)
-    app = IterativeApplication(
-        tasks_per_iteration=extended.m,
-        iterations=1,
-        t_prog=extended.t_prog,
-        t_data=extended.t_data,
-    )
+    platform, app, budget = online_setup(extra_up_slots)
     sim = MasterSimulator(
         platform,
         app,
         MctScheduler(),
         options=SimulatorOptions(replication=False, audit=True),
     )
-    report = sim.run(max_slots=extended.horizon + 1)
-    mct_makespan = (
-        report.makespan if report.makespan is not None else extended.horizon + 1
-    )
+    report = sim.run(max_slots=budget)
+    mct_makespan = report.makespan if report.makespan is not None else budget
 
     return CounterexampleAnalysis(
         optimal_makespan=exact.makespan,

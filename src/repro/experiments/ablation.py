@@ -140,8 +140,7 @@ def _replication(scenarios, trials, backend, base_options) -> AblationResult:
 def _replanning(scenarios, trials, backend, base_options) -> AblationResult:
     """Replan-trigger semantics, on the ``replan_policy`` knob (DESIGN.md
     §10): the paper's event-driven default, the every-slot ablation arm
-    (``replan_every_slot`` remains an alias of that policy), and the
-    relaxed sticky policy in one table.  ``experiments/replan_study.py``
+    and the relaxed sticky policy in one table.  ``experiments/replan_study.py``
     is the full shape validation; this arm shows the makespan/round
     trade-off at a glance."""
     arms = {}
@@ -151,13 +150,7 @@ def _replanning(scenarios, trials, backend, base_options) -> AblationResult:
         ("every-slot", "every-slot"),
         ("sticky", "sticky"),
     ):
-        # Reset the legacy alias flag alongside the policy: replace() on a
-        # base built with replan_every_slot=True would otherwise make
-        # __post_init__ re-canonicalise the event arm back to every-slot
-        # (and reject the sticky arm as conflicting).
-        options = replace(
-            base_options, replan_policy=policy, replan_every_slot=False
-        )
+        options = replace(base_options, replan_policy=policy)
         mean, rounds, count = _mean_over(
             scenarios, trials, "emct*", options, backend
         )

@@ -53,11 +53,10 @@ gates).
 Cohort membership and demotion
 ==============================
 
-Runs join the cohort only on the default array/array span-stepped
-configuration; a run needing the slot-mode oracle stepping
-(``step_mode="slot"`` or ``replan_every_slot``), audit mode, or a
-legacy store/API is *statically demoted* — executed on the untouched
-per-run path (``MasterSimulator.run``).  A cohort member that diverges
+Runs join the cohort only on the default span-stepped configuration; a
+run needing slot stepping (``step_mode="slot"`` or the ``every-slot``
+replan policy) or audit mode is *statically demoted* — executed on the
+untouched per-run path (``MasterSimulator.run``).  A cohort member that diverges
 mid-flight (a shared hook raises :class:`CohortDivergence`) is
 *dynamically demoted*: its shared hooks are stripped and the run
 finishes standalone on its own views — the result is identical either
@@ -254,19 +253,16 @@ class BatchCampaignRunner:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _eligible(spec: BatchRunSpec) -> bool:
-        """Cohort membership: the default array/array span configuration.
+        """Cohort membership: the default span-stepped configuration.
 
-        Everything else — the slot-mode oracle stepping, audit mode, the
-        legacy instance store or scheduler API — runs per-run, where
-        those configurations are already the validated oracles.
+        Slot stepping (``step_mode="slot"`` or the ``every-slot`` replan
+        policy) and audit mode run per-run.
         """
         options = spec.options
         return (
             not options.audit
             and options.step_mode == "span"
-            and not options.replan_every_slot
-            and options.instance_store == "array"
-            and options.scheduler_api == "array"
+            and options.replan_policy != "every-slot"
         )
 
     def _new_row(self) -> int:

@@ -63,11 +63,10 @@ class TaskInstance:
         worker: index of the worker currently hosting the instance, or
             ``None`` while unplaced.
         computing: True once computation has begun.
-        row: the master's store slot — the instance's row in the
-            structure-of-arrays :class:`~repro.sim.instance_table.
-            InstanceTable`, or its position in the legacy instance list
-            (enabling O(1) swap-remove); -1 while unregistered.
-            Maintained by the owning store, never by the instance.
+        row: the instance's row in the master's structure-of-arrays
+            :class:`~repro.sim.instance_table.InstanceTable`; -1 while
+            unregistered.  Maintained by the table, never by the
+            instance.
     """
 
     iteration: int

@@ -1,11 +1,11 @@
 """Golden outcomes: fixed results pinned across commits.
 
-The equivalence suites compare arms of one build against each other; this
-file compares the build against numbers recorded once, so a refactor that
-shifts every arm together still fails here.  Each row is one run of a
-registry heuristic (the 17 paper heuristics, the passive and exact-UD
-ablations, and the clairvoyant bound) on a fixed scenario under one
-objective:
+The differential suite compares the fast simulator with the reference
+simulator; this file compares *both* against numbers recorded once, so a
+change that shifts the two together still fails here.  Each row is one
+run of a registry heuristic (the 17 paper heuristics, the passive and
+exact-UD ablations, and the clairvoyant bound) on a fixed scenario under
+one objective:
 
 * ``run`` — :meth:`MasterSimulator.run` to the scenario's 10 iterations;
 * ``slots`` — :meth:`MasterSimulator.run_slots` for the scenario's slot
@@ -16,15 +16,21 @@ replicas_launched)``.  Regenerate them only for a change that is meant to
 alter results, with ``PYTHONPATH=src python tests/test_golden_outcomes.py``.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.heuristics.mct import MctScheduler
 from repro.core.heuristics.registry import (
     HEURISTIC_FACTORIES,
     PAPER_HEURISTICS,
     make_scheduler,
 )
-from repro.sim.master import MasterSimulator
+from repro.core.offline.counterexample import analyze, online_setup
+from repro.sim.master import MasterSimulator, SimulatorOptions
+from repro.sim.reference import ReferenceSimulator
 from repro.workload.scenarios import ScenarioGenerator
+
+SIMULATORS = {"fast": MasterSimulator, "reference": ReferenceSimulator}
 
 #: ``(root_seed, (n, ncom, wmin, index), trial, slot_budget)`` of the two
 #: scenarios.
@@ -122,11 +128,11 @@ GOLDEN = {
 }
 
 
-def outcome(scenario_name, heuristic, objective):
+def outcome(scenario_name, heuristic, objective, simulator="fast"):
     seed, cell, trial, slot_budget = SCENARIOS[scenario_name]
     scenario = ScenarioGenerator(seed).scenario(*cell)
     platform = scenario.build_platform(trial)
-    sim = MasterSimulator(
+    sim = SIMULATORS[simulator](
         platform,
         scenario.app,
         make_scheduler(heuristic, platform=platform),
@@ -169,7 +175,25 @@ def test_golden_table_covers_every_case():
 )
 def test_golden_outcome(scenario_name, heuristic, objective):
     expected = GOLDEN[(scenario_name, heuristic, objective)]
-    assert outcome(scenario_name, heuristic, objective) == expected
+    for simulator in SIMULATORS:
+        got = outcome(scenario_name, heuristic, objective, simulator)
+        assert got == expected, simulator
+
+
+def test_worked_example_online_mct():
+    """The §4 worked example's online MCT run (replication off, audit on)
+    reaches the same makespan on the reference as in ``analyze``."""
+    platform, app, budget = online_setup()
+    sim = ReferenceSimulator(
+        platform,
+        app,
+        MctScheduler(),
+        options=SimulatorOptions(replication=False, audit=True),
+        rng=np.random.default_rng(0),
+    )
+    report = sim.run(max_slots=budget)
+    makespan = report.makespan if report.makespan is not None else budget
+    assert makespan == analyze().mct_online_makespan > 9
 
 
 if __name__ == "__main__":

@@ -306,15 +306,15 @@ class TestShardedResume:
 class TestOldJournalFingerprints:
     """Journals written under since-removed options must not resume."""
 
-    @pytest.mark.parametrize("layout", ["single", "sharded"])
-    def test_removed_option_in_meta_rejected(self, tmp_path, scenarios, layout):
+    @staticmethod
+    def _assert_rejected(tmp_path, scenarios, layout, option, value):
         config = CampaignConfig(heuristics=("mct", "random"), trials=2)
         units = list(iter_work_units(scenarios, config))
         meta = _campaign_fingerprint(units, config)
         # The fingerprint an older build wrote: its options still carried
-        # the exact round-elision switch.
+        # the removed simulator option.
         old_meta = copy.deepcopy(meta)
-        old_meta["options"]["round_relevance"] = "exact"
+        old_meta["options"][option] = value
         path = tmp_path / "camp.ckpt"
         if layout == "single":
             CampaignCheckpoint(path, meta=old_meta).append(
@@ -328,3 +328,25 @@ class TestOldJournalFingerprints:
             checkpoint = ShardedCheckpoint(path, shards=2, meta=meta)
         with pytest.raises(ValueError, match="different campaign"):
             run_campaign(scenarios, config, checkpoint=checkpoint)
+
+    @pytest.mark.parametrize("layout", ["single", "sharded"])
+    def test_removed_option_in_meta_rejected(self, tmp_path, scenarios, layout):
+        # The exact round-elision switch.
+        self._assert_rejected(tmp_path, scenarios, layout,
+                              "round_relevance", "exact")
+
+    @pytest.mark.parametrize("layout", ["single", "sharded"])
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("instance_store", "array"),
+            ("scheduler_api", "array"),
+            ("replan_every_slot", False),
+        ],
+    )
+    def test_removed_simulator_arm_in_meta_rejected(
+        self, tmp_path, scenarios, layout, option, value
+    ):
+        # The in-class oracle arms and the every-slot alias, at the
+        # defaults an older build wrote for every campaign.
+        self._assert_rejected(tmp_path, scenarios, layout, option, value)

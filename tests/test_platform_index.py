@@ -103,8 +103,6 @@ class TestOptionVariants:
         {"audit": True},
         {"proactive": True},
         {"replication": False},
-        {"scheduler_api": "legacy"},
-        {"instance_store": "legacy"},
         {"replan_policy": "sticky"},
         {"replan_policy": "debounce:3"},
         {"replan_policy": "relevant-up"},
@@ -136,23 +134,33 @@ class TestCompletion:
 
 
 class TestResume:
-    """begin_run / advance_until pausing must not disturb the calendar."""
+    """begin_run / advance_until pausing every 25 slots must equal a plain
+    run, in both step modes and under both objectives."""
 
-    def test_paused_run_matches_plain_run(self):
+    @pytest.mark.parametrize("heuristic", ["mct", "emct*", "random"])
+    @pytest.mark.parametrize("objective", ["run", "slots"])
+    @pytest.mark.parametrize("step_mode", ["span", "slot"])
+    def test_paused_run_matches_plain_run(self, step_mode, objective,
+                                          heuristic):
         sc = _scenario()
-        plain = run_one(sc, "mct", "calendar", budget=500)
+        # The run objective gets room to finish; the slot objective stops
+        # mid-run.
+        budget = 900 if objective == "run" else 300
+        plain = run_one(sc, heuristic, "calendar", objective=objective,
+                        budget=budget, step_mode=step_mode)
 
         platform = sc.build_platform(0)
         log = EventLog(enabled=True)
         sim = MasterSimulator(
             platform,
             sc.app,
-            make_scheduler("mct", platform=platform),
-            options=SimulatorOptions(platform_index="calendar"),
-            rng=sc.scheduler_rng(0, "mct"),
+            make_scheduler(heuristic, platform=platform),
+            options=SimulatorOptions(platform_index="calendar",
+                                     step_mode=step_mode),
+            rng=sc.scheduler_rng(0, heuristic),
             log=log,
         )
-        sim.begin_run(max_slots=500)
+        sim.begin_run(max_slots=budget)
         limit = 25
         while not sim.advance_until(limit):
             limit += 25

@@ -1,10 +1,9 @@
-"""Replan policies (DESIGN.md §10): parsing, aliasing and invariance.
+"""Replan policies (DESIGN.md §10): parsing and invariance.
 
-Every policy must be invariant across step modes and instance stores
-(spans may only glide over what the policy provably ignores),
-``debounce:1`` must equal the event-driven default exactly, and
-``every-slot`` must stay a faithful alias of the legacy
-``replan_every_slot`` flag.
+Every policy must be invariant across step modes (spans may only glide
+over what the policy provably ignores), and ``debounce:1`` must equal the
+event-driven default exactly.  Agreement with the reference simulator is
+checked per policy in ``tests/test_reference_equivalence.py``.
 """
 
 import pytest
@@ -57,26 +56,6 @@ class TestReplanPolicies:
         with pytest.raises(ValueError):
             SimulatorOptions(replan_policy="bogus")
 
-    def test_every_slot_alias(self):
-        """Either spelling selects the ablation arm; they stay in sync."""
-        by_flag = SimulatorOptions(replan_every_slot=True)
-        assert by_flag.replan_policy == "every-slot"
-        by_policy = SimulatorOptions(replan_policy="every-slot")
-        assert by_policy.replan_every_slot is True
-        with pytest.raises(ValueError):
-            SimulatorOptions(replan_every_slot=True, replan_policy="sticky")
-
-    def test_every_slot_alias_bit_identical(self):
-        scenario = ScenarioGenerator(11).scenario(5, 5, 1, 0)
-        outcomes = {}
-        for kwargs in ({"replan_every_slot": True},
-                       {"replan_policy": "every-slot"}):
-            _sim, outcomes[tuple(kwargs)] = run_one(
-                scenario, "emct*", budget=30_000, **kwargs
-            )
-        first, second = outcomes.values()
-        assert first == second
-
     def test_debounce_one_equals_event(self):
         """Leading-edge cooldown of one slot never suppresses anything."""
         scenario = ScenarioGenerator(12061).scenario(20, 10, 5, 0)
@@ -89,25 +68,21 @@ class TestReplanPolicies:
 
     @pytest.mark.parametrize("policy", ["sticky", "debounce:8", "relevant-up"])
     @pytest.mark.parametrize("heuristic", ["emct*", "random2w", "passive"])
-    def test_policies_step_mode_and_store_invariant(self, policy, heuristic):
+    def test_policies_step_mode_invariant(self, policy, heuristic):
         """Relaxed policies change the science but must not depend on the
-        stepping mode, the instance store, or an attached event log —
-        spans may only glide over what the policy provably ignores."""
+        stepping mode — spans may only glide over what the policy
+        provably ignores."""
         scenario = ScenarioGenerator(12061).scenario(10, 5, 3, 0)
         outcomes = {}
         for step_mode in ("slot", "span"):
-            for store in ("array", "legacy"):
-                _sim, outcomes[(step_mode, store)] = run_one(
-                    scenario,
-                    heuristic,
-                    budget=60_000,
-                    step_mode=step_mode,
-                    instance_store=store,
-                    replan_policy=policy,
-                )
-        reference = outcomes[("slot", "array")]
-        for key, outcome in outcomes.items():
-            assert outcome == reference, f"{policy}/{key} diverged"
+            _sim, outcomes[step_mode] = run_one(
+                scenario,
+                heuristic,
+                budget=60_000,
+                step_mode=step_mode,
+                replan_policy=policy,
+            )
+        assert outcomes["span"] == outcomes["slot"], f"{policy} diverged"
 
     def test_sticky_reduces_rounds_and_lengthens_spans(self):
         scenario = ScenarioGenerator(12061).scenario(20, 10, 5, 0)

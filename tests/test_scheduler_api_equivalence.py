@@ -1,210 +1,87 @@
-"""Array-backed (batch ``RoundState``) vs legacy scalar scheduler path.
+"""The array scheduler API's compatibility shim, and quiet-span timelines.
 
-The PR-3 redesign gate (DESIGN.md §8): for every registry heuristic, the
-simulator driven through ``scheduler_api="array"`` — incremental RoundState
-maintenance + batch scoring + array lazy heap — must produce **bit
-identical** reports, event logs, and network audit trails to the preserved
-``scheduler_api="legacy"`` scalar path, across both objectives and both
-stepping modes.  Also covers the compatibility shim (lazily materialised
-``ProcessorView``s equal the eager legacy snapshots mid-simulation) and the
-batched timeline fill for quiet spans.
+:meth:`RoundState.as_context` lazily materialises the ``ProcessorView``
+snapshot that scalar heuristics (and external ``Scheduler`` subclasses)
+consume (DESIGN.md §8).  Here the shim's contexts are recorded round by
+round in the fast simulator and compared with the contexts the reference
+simulator (:class:`~repro.sim.reference.ReferenceSimulator`) builds
+eagerly from its own state — field for field, at every placement call.
+Also covers the batched timeline fill for quiet spans.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.heuristics.base import Scheduler
-from repro.core.heuristics.registry import (
-    HEURISTIC_FACTORIES,
-    PAPER_HEURISTICS,
-    make_scheduler,
-)
-from repro.sim.events import EventLog
+from repro.core.heuristics.registry import make_scheduler
 from repro.sim.master import MasterSimulator, SimulatorOptions
+from repro.sim.reference import ReferenceSimulator
 from repro.sim.timeline import TimelineRecorder
 from repro.workload.scenarios import ScenarioGenerator
 
-ALL_HEURISTICS = sorted(HEURISTIC_FACTORIES) + ["clairvoyant"]
 
-
-def run_pair(
-    scenario,
-    heuristic,
-    *,
-    trial=0,
-    objective="run",
-    budget=40_000,
-    step_mode="span",
-    options_kwargs=None,
-    with_log=True,
-):
-    """Run the legacy and array scheduler APIs on identical inputs."""
-    outcomes = {}
-    for api in ("legacy", "array"):
-        platform = scenario.build_platform(trial)
-        log = EventLog(enabled=with_log)
-        options = SimulatorOptions(
-            step_mode=step_mode, scheduler_api=api, **(options_kwargs or {})
+def _snapshot(ctx):
+    """A comparable copy of a scheduling context (beliefs by value)."""
+    views = tuple(
+        (
+            view.index,
+            view.speed_w,
+            view.state,
+            None if view.belief is None else view.belief.matrix.tolist(),
+            view.has_program,
+            view.delay,
+            view.pinned_count,
+            view.prog_remaining,
+            view.pinned_pipeline,
         )
-        sim = MasterSimulator(
-            platform,
-            scenario.app,
-            make_scheduler(heuristic, platform=platform),
-            options=options,
-            rng=scenario.scheduler_rng(trial, heuristic),
-            log=log,
-        )
-        if objective == "run":
-            report = sim.run(max_slots=budget)
-        else:
-            report = sim.run_slots(budget)
-        outcomes[api] = (report, log.events, sim.network.usage)
-    return outcomes
-
-
-def assert_identical(outcomes):
-    legacy_report, legacy_events, legacy_usage = outcomes["legacy"]
-    array_report, array_events, array_usage = outcomes["array"]
-    assert array_report == legacy_report
-    assert array_events == legacy_events
-    assert array_usage == legacy_usage
-
-
-class TestFullRegistryBitIdentical:
-    """Every registry heuristic, both objectives, both step modes."""
-
-    @pytest.mark.parametrize("step_mode", ["span", "slot"])
-    @pytest.mark.parametrize("heuristic", ALL_HEURISTICS)
-    def test_run_objective(self, heuristic, step_mode):
-        scenario = ScenarioGenerator(12061).scenario(5, 5, 1, 0)
-        outcomes = run_pair(
-            scenario, heuristic, step_mode=step_mode, budget=30_000
-        )
-        assert_identical(outcomes)
-        assert outcomes["array"][0].makespan is not None  # sanity: finished
-
-    @pytest.mark.parametrize("step_mode", ["span", "slot"])
-    @pytest.mark.parametrize("heuristic", ALL_HEURISTICS)
-    def test_run_slots_objective(self, heuristic, step_mode):
-        scenario = ScenarioGenerator(12061).scenario(5, 5, 2, 1)
-        outcomes = run_pair(
-            scenario,
-            heuristic,
-            trial=1,
-            objective="run_slots",
-            budget=800,
-            step_mode=step_mode,
-        )
-        assert_identical(outcomes)
-
-    @pytest.mark.parametrize("heuristic", ["emct*", "ud*", "random2w", "passive"])
-    def test_paper_midpoint_cell_with_audit(self, heuristic):
-        """The p=20 midpoint cell, with the incremental-maintenance
-        cross-check (audit) active on the array side."""
-        scenario = ScenarioGenerator(12061).scenario(20, 10, 5, 0)
-        outcomes = run_pair(
-            scenario,
-            heuristic,
-            budget=60_000,
-            options_kwargs={"audit": True},
-        )
-        assert_identical(outcomes)
-
-
-class TestOptionVariants:
-    """Simulator options exercise distinct array-path branches."""
-
-    @pytest.mark.parametrize(
-        "options_kwargs",
-        [
-            {"replication": False},
-            {"max_replicas": 0},
-            {"proactive": True},
-            {"replan_every_slot": True},
-            {"audit": True},
-        ],
-        ids=[
-            "no-replication",
-            "zero-replicas",
-            "proactive",
-            "replan-every",
-            "audit",
-        ],
+        for view in ctx.processors
     )
-    def test_option_variants_bit_identical(self, options_kwargs):
-        scenario = ScenarioGenerator(7).scenario(5, 5, 2, 0)
-        outcomes = run_pair(
-            scenario, "emct", budget=50_000, options_kwargs=options_kwargs
-        )
-        assert_identical(outcomes)
+    up = tuple(view.index for view in ctx.up_processors())
+    return (ctx.slot, ctx.t_prog, ctx.t_data, ctx.ncom, ctx.remaining_tasks,
+            up, views)
 
 
-class TestRandomizedSweep:
-    """Deterministic random configurations across the registry long tail."""
+class _ContextRecorder(Scheduler):
+    """Wraps an inner scheduler and records the context of every placement
+    call: the lazy shim (``rs.as_context()``) on the fast path, the eager
+    context on the reference path."""
 
-    @pytest.mark.parametrize("config_seed", range(6))
-    def test_random_config_bit_identical(self, config_seed):
-        cfg = np.random.default_rng(4000 + config_seed)
-        n = int(cfg.choice([1, 2, 5, 10, 20]))
-        ncom = int(cfg.choice([1, 5, 10]))
-        wmin = int(cfg.integers(1, 6))
-        heuristic = str(cfg.choice(list(PAPER_HEURISTICS)))
-        trial = int(cfg.integers(0, 3))
-        objective = str(cfg.choice(["run", "run_slots"]))
-        budget = int(cfg.choice([500, 3000, 30_000]))
-        step_mode = str(cfg.choice(["span", "slot"]))
-        audit = bool(cfg.integers(0, 2))
-        scenario = ScenarioGenerator(999).scenario(n, ncom, wmin, 0)
-        outcomes = run_pair(
-            scenario,
-            heuristic,
-            trial=trial,
-            objective=objective,
-            budget=budget,
-            step_mode=step_mode,
-            options_kwargs={"audit": audit},
-        )
-        assert_identical(outcomes)
-
-
-class _ShimProbe(Scheduler):
-    """Wraps an inner scheduler; at every round asserts the lazy shim views
-    equal the eager legacy snapshot built from the same simulator state."""
-
-    name = "shim-probe"
+    name = "context-recorder"
 
     def __init__(self, inner):
         self._inner = inner
-        self.sim = None  # attached after construction
-        self.rounds_checked = 0
+        self.contexts = []
 
     def place_array(self, rs, n_tasks, allowed=None):
-        eager = self.sim._build_context(rs.slot, rs.state)
-        lazy = rs.as_context()
-        assert len(lazy.processors) == len(eager.processors)
-        for eager_view, lazy_view in zip(eager.processors, lazy.processors):
-            assert lazy_view == eager_view  # dataclass: field-for-field
-        assert lazy.slot == eager.slot
-        assert lazy.t_prog == eager.t_prog
-        assert lazy.t_data == eager.t_data
-        assert lazy.ncom == eager.ncom
-        assert lazy.remaining_tasks == eager.remaining_tasks
-        assert [v.index for v in lazy.up_processors()] == [
-            v.index for v in eager.up_processors()
-        ]
-        self.rounds_checked += 1
+        self.contexts.append(_snapshot(rs.as_context()))
         return self._inner.place_array(rs, n_tasks, allowed)
 
+    def place(self, ctx, n_tasks, allowed=None):
+        self.contexts.append(_snapshot(ctx))
+        return self._inner.place(ctx, n_tasks, allowed)
+
     def select(self, ctx, candidates, nq, n_active):  # pragma: no cover
-        raise NotImplementedError("probe overrides place_array")
+        raise NotImplementedError("the recorder overrides both entry points")
+
+
+def _recorded_run(simulator, scenario, trial, inner):
+    platform = scenario.build_platform(trial)
+    recorder = _ContextRecorder(make_scheduler(inner, platform=platform))
+    sim = simulator(
+        platform,
+        scenario.app,
+        recorder,
+        rng=scenario.scheduler_rng(trial, inner),
+    )
+    return sim.run(max_slots=20_000), recorder.contexts
 
 
 class TestCompatibilityShim:
-    """Satellite: lazily materialised views == eager legacy snapshots,
-    across a randomized sweep of mid-simulation states."""
+    """Lazily materialised views == the reference's eager snapshots, at
+    every placement call of randomized runs."""
 
     @pytest.mark.parametrize("config_seed", range(5))
-    def test_lazy_views_equal_eager_snapshots(self, config_seed):
+    def test_lazy_views_equal_reference_snapshots(self, config_seed):
         cfg = np.random.default_rng(8800 + config_seed)
         n = int(cfg.choice([2, 5, 10, 20]))
         ncom = int(cfg.choice([1, 5, 10]))
@@ -212,39 +89,25 @@ class TestCompatibilityShim:
         trial = int(cfg.integers(0, 3))
         inner = str(cfg.choice(["mct", "emct*", "random2w"]))
         scenario = ScenarioGenerator(555).scenario(n, ncom, wmin, 0)
-        platform = scenario.build_platform(trial)
-        probe = _ShimProbe(make_scheduler(inner, platform=platform))
-        sim = MasterSimulator(
+        fast_report, fast = _recorded_run(MasterSimulator, scenario, trial, inner)
+        ref_report, ref = _recorded_run(ReferenceSimulator, scenario, trial, inner)
+        assert fast_report == ref_report
+        assert len(fast) == len(ref) > 0
+        for call, (lazy, eager) in enumerate(zip(fast, ref)):
+            assert lazy == eager, f"placement call {call} diverged"
+
+    def test_recorder_is_transparent(self):
+        """Recording (materialising every lazy view) must not perturb the
+        run: same report as the bare inner heuristic."""
+        scenario = ScenarioGenerator(555).scenario(5, 5, 2, 0)
+        platform = scenario.build_platform(0)
+        bare = MasterSimulator(
             platform,
             scenario.app,
-            probe,
-            rng=scenario.scheduler_rng(trial, inner),
-        )
-        probe.sim = sim
-        sim.run(max_slots=20_000)
-        assert probe.rounds_checked > 0
-
-    def test_shim_probe_is_transparent(self):
-        """The probe (legacy eager build + comparisons) must not perturb
-        the run: same report as the bare inner heuristic."""
-        scenario = ScenarioGenerator(555).scenario(5, 5, 2, 0)
-        reports = []
-        for wrap in (False, True):
-            platform = scenario.build_platform(0)
-            inner = make_scheduler("emct*", platform=platform)
-            sched = inner
-            if wrap:
-                sched = _ShimProbe(inner)
-            sim = MasterSimulator(
-                platform,
-                scenario.app,
-                sched,
-                rng=scenario.scheduler_rng(0, "emct*"),
-            )
-            if wrap:
-                sched.sim = sim
-            reports.append(sim.run(max_slots=20_000))
-        bare, probed = reports
+            make_scheduler("emct*", platform=platform),
+            rng=scenario.scheduler_rng(0, "emct*"),
+        ).run(max_slots=20_000)
+        probed, _contexts = _recorded_run(MasterSimulator, scenario, 0, "emct*")
         # heuristic_name differs by construction; compare the physics.
         probed_dict = dict(probed.__dict__, heuristic_name=bare.heuristic_name)
         assert probed_dict == bare.__dict__

@@ -187,7 +187,7 @@ class TestOptionVariants:
             {"replication": False},
             {"max_replicas": 0},
             {"proactive": True},
-            {"replan_every_slot": True},
+            {"replan_policy": "every-slot"},
             {"audit": True},
         ],
         ids=["no-replication", "zero-replicas", "proactive", "replan-every",
