@@ -45,13 +45,14 @@ from ...types import ProcState
 from ..markov import MarkovAvailabilityModel
 from .round_state import RoundState
 
-#: Processor count from which the array-path round caches are assembled
-#: with numpy gathers instead of Python list comprehensions.  Both
-#: assemblies produce element-for-element identical values (exact int64
-#: arithmetic / pure copies), so the threshold is a pure speed knob: below
-#: it the fixed per-ufunc overhead loses to list ops, above it the numpy
-#: path is the difference between O(p) Python and O(p) C per round.
-_VECTOR_MIN_P = 128
+#: Processor count from which the array-path round caches (and the
+#: master's replication idle set) are assembled with numpy gathers and
+#: masks instead of Python list comprehensions.  Both assemblies produce
+#: element-for-element identical values (exact int64 arithmetic / pure
+#: copies), so the threshold is a pure speed knob: below it the fixed
+#: per-ufunc overhead loses to list ops, above it the numpy path is the
+#: difference between O(p) Python and O(p) C per round.
+VECTOR_MIN_P = 128
 
 
 def _is_bool_mask(allowed) -> bool:
@@ -557,16 +558,15 @@ class GreedyScheduler(Scheduler):
     # -- per-round cache for the array path -------------------------------
     _round_version = None
     _round_cache: Optional[dict] = None
-    # -- cross-round persistent cache (delta-patched, DESIGN.md §8) -------
-    _persist: Optional[dict] = None
-    # -- cross-round persistent score rows (DESIGN.md §11/§12) ------------
+    # -- cross-round persistent score rows (large p, DESIGN.md §12) -------
     _row_store: Optional[dict] = None
     _row_store_rs = None
-    #: Candidate-set instrumentation (DESIGN.md §12): score evaluations
-    #: actually run vs. stamped rows reused verbatim from the persistent
-    #: store.  ``rows_scored`` after warm-up is the candidate-set size —
-    #: it scales with the workers whose columns moved since their score
-    #: was last computed, not with p.
+    #: Scoring instrumentation (DESIGN.md §12): score evaluations actually
+    #: run vs. stamped rows reused verbatim from the large-p persistent
+    #: store.  There, ``rows_scored`` after warm-up is the candidate-set
+    #: size — it scales with the workers whose columns moved since their
+    #: score was last computed, not with p.  Below ``VECTOR_MIN_P``
+    #: every row is scored afresh each round, so ``rows_reused`` stays 0.
     rows_scored = 0
     rows_reused = 0
 
@@ -580,7 +580,7 @@ class GreedyScheduler(Scheduler):
         the per-factor CT coefficients and nq-zero score rows, and belief
         gathers.  At the paper's p ≈ 20 everything is assembled as plain
         Python lists (the fixed per-ufunc numpy overhead dwarfs
-        per-element Python arithmetic there); from ``_VECTOR_MIN_P``
+        per-element Python arithmetic there); from ``VECTOR_MIN_P``
         processors up, the assembly runs as numpy gathers over the column
         arrays instead — exact integer/copy operations, so the resulting
         lists are element-for-element identical — and the UP index array
@@ -590,7 +590,7 @@ class GreedyScheduler(Scheduler):
         """
         if self._round_version != rs.version:
             up_state = int(ProcState.UP)
-            if len(rs) >= _VECTOR_MIN_P:
+            if len(rs) >= VECTOR_MIN_P:
                 up_arr = np.nonzero(rs.state == up_state)[0]
                 up_list = up_arr.tolist()
                 pinned_zero_arr = rs.pinned_count[up_arr] == 0
@@ -600,11 +600,6 @@ class GreedyScheduler(Scheduler):
                 pinned_zero_arr = None
                 state_list = rs.state.tolist()
                 up_list = [q for q, s in enumerate(state_list) if s == up_state]
-                cache = self._delta_reuse(rs, up_list)
-                if cache is not None:
-                    self._round_cache = cache
-                    self._round_version = rs.version
-                    return cache
                 pinned_list = rs.pinned_count.tolist()
                 pinned_zero = [pinned_list[q] == 0 for q in up_list]
             self._round_cache = {
@@ -621,88 +616,7 @@ class GreedyScheduler(Scheduler):
                 "belief": {},
             }
             self._round_version = rs.version
-            if (
-                up_arr is None
-                and rs.stamped
-                and self.batch_scoring
-                and self._score_ct_one is not None
-            ):
-                # Seed the persistent cache (DESIGN.md §8): the artifacts
-                # this round assembles into the cache dict are kept and
-                # delta-patched next round instead of being rebuilt.
-                self._persist = {
-                    "rs": rs,
-                    "serial": rs._stamp_serial,
-                    "pos": {q: i for i, q in enumerate(up_list)},
-                    "cache": self._round_cache,
-                }
-            else:
-                self._persist = None
         return self._round_cache
-
-    def _delta_reuse(self, rs: RoundState, up_list: list) -> Optional[dict]:
-        """Delta-patch last round's cache instead of rebuilding it.
-
-        The ROADMAP-named persistent per-factor score-row cache: when the
-        UP set is unchanged and the stamp history covers the gap since
-        the cache was last current, only the processors that were
-        actually stamped (dirty) since then have moved — so the CT bases,
-        ``n_q = 0`` score rows, signed key lists, pinned flags and delay
-        gathers are patched in place at exactly those positions (via the
-        same ``_score_ct_one`` scalar the full build would call, hence
-        bit-identical) and everything else is reused verbatim.  Falls
-        back to ``None`` — a full rebuild — when the UP set moved, the
-        history window was exceeded, or the state does not maintain the
-        stamp contract.
-        """
-        persist = self._persist
-        if persist is None or persist["rs"] is not rs or not rs.stamped:
-            return None
-        cache = persist["cache"]
-        if up_list != cache["up_list"]:
-            return None
-        changed = rs.changed_since(persist["serial"])
-        if changed is None:
-            return None
-        persist["serial"] = rs._stamp_serial
-        if not changed:
-            return cache
-        pos = persist["pos"]
-        touched = [(pos[q], q) for q in changed if q in pos]
-        if not touched:
-            return cache
-        pinned_zero = cache["pinned_zero"]
-        pinned_count = rs.pinned_count
-        for i, q in touched:
-            pinned_zero[i] = int(pinned_count[q]) == 0
-        row0 = cache["row0"]
-        keys_map = cache["row0_keys"]
-        gathers = cache["gathers"]
-        if gathers is not None:
-            delay_list, speed_list = gathers
-            delay_col = rs.delay
-            for i, q in touched:
-                delay_list[i] = int(delay_col[q])
-            t_data = rs.t_data
-            sign = -1.0 if self.maximize else 1.0
-            score_one = self._score_ct_one
-            reused = len(up_list) - len(touched)
-            for factor, (base, _step) in cache["ct"].items():
-                eff = factor * t_data
-                row = row0.get(factor)
-                keys = keys_map.get(factor)
-                for i, _q in touched:
-                    ct = delay_list[i] + eff + speed_list[i]
-                    base[i] = ct
-                    if row is not None:
-                        value = score_one(rs, cache, ct, i)
-                        row[i] = value
-                        if keys is not None:
-                            keys[i] = sign * value
-                if row is not None:
-                    self.rows_scored += len(touched)
-                    self.rows_reused += reused
-        return cache
 
     def _gather_belief(self, rs: RoundState, cache: dict, name: str,
                        needs: str) -> list:
@@ -789,7 +703,7 @@ class GreedyScheduler(Scheduler):
         cached ``n_q = 0`` score row, with no candidate lists, heap, or
         re-scores.  Returns ``NotImplemented`` when the factor genuinely
         varies (two initial factors straddle a ``ncom`` boundary), sending
-        the caller to the general path.  From ``_VECTOR_MIN_P`` processors
+        the caller to the general path.  From ``VECTOR_MIN_P`` processors
         the whole call — allowed mask, active count, and the final masked
         argmin — runs vectorised (:meth:`_place_one_large`).
         """
@@ -907,7 +821,11 @@ class GreedyScheduler(Scheduler):
             score_row = self._score_ct_row
             if score_row is not None:
                 base, _step = self._ct_bases(rs, cache, factor)
-                if rs.stamped and self._score_ct_one is not None:
+                if (
+                    cache["up_arr"] is not None
+                    and rs.stamped
+                    and self._score_ct_one is not None
+                ):
                     row = self._row0_stamped(rs, cache, factor, base)
                 else:
                     row = score_row(rs, cache, base)
@@ -925,8 +843,7 @@ class GreedyScheduler(Scheduler):
         """The ``n_q = 0`` row as a signed float list, memoised per round.
 
         Small-p twin of :meth:`_row0_keys`: the unrestricted placement
-        and replication calls of one round (and, with the persistent
-        cache, of every delta-reused round) share one ``sign * value``
+        and replication calls of one round share one ``sign * value``
         materialisation instead of rebuilding the listcomp per call.
         Callers must treat the list as read-only.
         """
@@ -976,7 +893,7 @@ class GreedyScheduler(Scheduler):
 
     def _row0_stamped(self, rs: RoundState, cache: dict, factor: int,
                       base: list) -> list:
-        """Assemble the ``n_q = 0`` row from a cross-round persistent store.
+        """Assemble the large-p ``n_q = 0`` row from a cross-round store.
 
         The CT-family scores at ``n_q = 0`` are pure functions of the
         stamped worker columns (``delay``, via the CT base), the static
@@ -994,64 +911,39 @@ class GreedyScheduler(Scheduler):
         key is present in every comparison, just not recomputed.
         Schedulers without the hooks (``batch_scoring`` False, or no
         ``_score_ct_one``) take the conservative full-scan path above.
-        Active only when the
-        state owner maintains the stamp contract (``rs.stamped``); the
-        store is keyed on the RoundState object so a scheduler reused
-        against another state can never mix rows.
+        Active only from ``VECTOR_MIN_P`` processors and when the state
+        owner maintains the stamp contract (``rs.stamped``); the store is
+        keyed on the RoundState object so a scheduler reused against
+        another state can never mix rows.  Its float64/int64 columns make
+        the hit test and the row gather two vector ops, so only the misses
+        (the candidate set) run Python at all.  At the paper's p = 20 a
+        list twin of this store (and a delta-patched copy of the whole
+        round cache) measured 1.00× and was removed (DESIGN.md §8).
         """
         if self._row_store_rs is not rs:
             self._row_store_rs = rs
             self._row_store = {}
         up_arr = cache["up_arr"]
-        if up_arr is not None:
-            # Large-p store: float64/int64 columns, so the hit test and
-            # the row gather are two vector ops and only the misses (the
-            # candidate set) run Python at all.
-            per_factor = self._row_store.get(factor)
-            if per_factor is None:
-                per_factor = self._row_store[factor] = (
-                    np.zeros(len(rs), dtype=np.float64),
-                    np.full(len(rs), -1, dtype=np.int64),
-                )
-            values, stamps = per_factor
-            current = np.asarray(rs.col_stamp, dtype=np.int64)[up_arr]
-            miss = np.nonzero(stamps[up_arr] != current)[0]
-            if miss.size:
-                score_one = self._score_ct_one
-                up_list = cache["up_list"]
-                for i in miss.tolist():
-                    q = up_list[i]
-                    values[q] = score_one(rs, cache, base[i], i)
-                stamps[up_arr[miss]] = current[miss]
-            scored = int(miss.size)
-            self.rows_scored += scored
-            self.rows_reused += len(up_arr) - scored
-            return values[up_arr].tolist()
         per_factor = self._row_store.get(factor)
         if per_factor is None:
             per_factor = self._row_store[factor] = (
-                [0.0] * len(rs),
-                [-1] * len(rs),
+                np.zeros(len(rs), dtype=np.float64),
+                np.full(len(rs), -1, dtype=np.int64),
             )
         values, stamps = per_factor
-        col_stamp = rs.col_stamp
-        score_one = self._score_ct_one
-        row = []
-        append = row.append
-        scored = 0
-        for i, q in enumerate(cache["up_list"]):
-            stamp = col_stamp[q]
-            if stamps[q] == stamp:
-                append(values[q])
-            else:
-                value = score_one(rs, cache, base[i], i)
-                values[q] = value
-                stamps[q] = stamp
-                append(value)
-                scored += 1
+        current = np.asarray(rs.col_stamp, dtype=np.int64)[up_arr]
+        miss = np.nonzero(stamps[up_arr] != current)[0]
+        if miss.size:
+            score_one = self._score_ct_one
+            up_list = cache["up_list"]
+            for i in miss.tolist():
+                q = up_list[i]
+                values[q] = score_one(rs, cache, base[i], i)
+            stamps[up_arr[miss]] = current[miss]
+        scored = int(miss.size)
         self.rows_scored += scored
-        self.rows_reused += len(row) - scored
-        return row
+        self.rows_reused += len(up_arr) - scored
+        return values[up_arr].tolist()
 
     def place_array(
         self,

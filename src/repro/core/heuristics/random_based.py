@@ -21,6 +21,8 @@ reliability signal.  The paper finds the ``w`` variants uniformly better
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -32,6 +34,7 @@ from .base import ProcessorView, RoundState, Scheduler, SchedulingContext
 __all__ = [
     "RandomScheduler",
     "WeightedRandomScheduler",
+    "inverse_cdf_pick",
     "make_random_variant",
     "RANDOM_WEIGHTS",
     "RANDOM_WEIGHT_COLUMNS",
@@ -70,6 +73,19 @@ _MISSING_BELIEF = (
 )
 
 
+def inverse_cdf_pick(cumulative: List[float], u: float) -> int:
+    """Index drawn by ``u`` from the running sums ``cumulative``.
+
+    ``bisect_right`` over ``itertools.accumulate(w / total)`` is the list
+    twin of ``np.searchsorted(np.cumsum(w / total), u, side="right")``:
+    both add sequentially in float64 and break ties to the right, so the
+    pick is the same — clamped to the last index against fp rounding.
+    """
+    pick = bisect_right(cumulative, u)
+    last = len(cumulative) - 1
+    return pick if pick < last else last
+
+
 class RandomScheduler(Scheduler):
     """``Random``: uniform choice among UP processors."""
 
@@ -94,10 +110,9 @@ class RandomScheduler(Scheduler):
         allowed: Optional[Sequence[int]] = None,
     ) -> List[Optional[int]]:
         """Array path: same per-task uniform draws over the UP index array."""
-        cand = rs.up_candidates(allowed)
-        if cand.size == 0:
+        cand_list = rs.up_candidates(allowed).tolist()
+        if not cand_list:
             return [None] * n_tasks
-        cand_list = [int(q) for q in cand]
         rng = rs.rng
         return [cand_list[int(rng.integers(len(cand_list)))] for _ in range(n_tasks)]
 
@@ -167,20 +182,25 @@ class WeightedRandomScheduler(Scheduler):
         pick = min(pick, len(candidates) - 1)  # guard against fp rounding
         return candidates[pick].index
 
-    def weight_batch(self, rs: RoundState, cand: np.ndarray) -> np.ndarray:
+    def weight_list(self, rs: RoundState, cand: List[int]) -> List[float]:
         """Sampling weights for ``cand``, gathered from belief columns.
 
         The cached columns hold the same floats the per-view weight
-        functions return, and the speed normalisation is the same IEEE
-        division, so the weight vector is bit-identical to the one the
-        legacy ``select`` builds per call.
+        functions return, and ``1 - w`` and the speed normalisation are
+        the same IEEE operations on Python floats as on numpy float64, so
+        the weights are bit-identical to the ones the scalar ``select``
+        builds per call.
         """
         column, complement = RANDOM_WEIGHT_COLUMNS[self._variant]
-        weights = rs.gather_belief(column, cand, _MISSING_BELIEF)
+        values = rs.belief_column_list(column)
+        weights = [values[q] for q in cand]
+        if any(w != w for w in weights):  # NaN: a candidate lacks a belief
+            rs.require_beliefs(cand, _MISSING_BELIEF)
         if complement:
-            weights = 1.0 - weights
+            weights = [1.0 - w for w in weights]
         if self._divide_by_speed:
-            weights = weights / rs.speed_w[cand]
+            speed = rs.speed_list()
+            weights = [w / speed[q] for w, q in zip(weights, cand)]
         return weights
 
     def place_array(
@@ -189,35 +209,35 @@ class WeightedRandomScheduler(Scheduler):
         n_tasks: int,
         allowed: Optional[Sequence[int]] = None,
     ) -> List[Optional[int]]:
-        """Array path: one vectorised weight gather, then per-task draws.
+        """Array path: one weight gather, then per-task draws.
 
         The legacy loop recomputes the (unchanging) weight vector on every
-        placement; here the cumulative distribution is built once and each
-        task costs a single inverse-CDF lookup — with the identical RNG
-        draw sequence (one ``rng.random()`` per task, or ``rng.integers``
-        in the all-weights-vanished fallback).
+        placement; here the weights and the cumulative distribution are
+        built once, as Python lists, and each task costs one
+        :func:`inverse_cdf_pick` — with the identical RNG draw sequence
+        (one ``rng.random()`` per task, or ``rng.integers`` in the
+        all-weights-vanished fallback).  The total stays a numpy ``sum``:
+        numpy sums pairwise, and the scalar path's CDF divides by that
+        pairwise total.
         """
         if self._variant is None:
             return self.place(rs.as_context(), n_tasks, allowed)
-        cand = rs.up_candidates(allowed)
-        if cand.size == 0:
+        cand_list = rs.up_candidates(allowed).tolist()
+        if not cand_list:
             return [None] * n_tasks
-        cand_list = [int(q) for q in cand]
         rng = rs.rng
-        weights = self.weight_batch(rs, cand)
-        total = weights.sum()
+        weights = self.weight_list(rs, cand_list)
+        total = float(np.array(weights).sum())
         if total <= 0.0:
             # All weights vanished: degrade to uniform, as the scalar path.
             return [
                 cand_list[int(rng.integers(len(cand_list)))] for _ in range(n_tasks)
             ]
-        cumulative = np.cumsum(weights / total)
-        last = len(cand_list) - 1
-        placements: List[Optional[int]] = []
-        for _ in range(n_tasks):
-            pick = int(np.searchsorted(cumulative, rng.random(), side="right"))
-            placements.append(cand_list[min(pick, last)])
-        return placements
+        cumulative = list(accumulate([w / total for w in weights]))
+        return [
+            cand_list[inverse_cdf_pick(cumulative, rng.random())]
+            for _ in range(n_tasks)
+        ]
 
 
 def make_random_variant(variant: int, weighted_by_speed: bool) -> Scheduler:

@@ -48,7 +48,6 @@ cost only for the processors they actually touch.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -61,10 +60,6 @@ __all__ = ["RoundState", "LazyViewSequence"]
 
 #: Process-global refresh-token source (see :attr:`RoundState.version`).
 _VERSION_COUNTER = itertools.count(1)
-
-#: Stamp batches retained by :meth:`RoundState.changed_since` (a bound on
-#: how many refreshes a consumer may lag before it must rebuild).
-_STAMP_HISTORY = 32
 
 
 def _ud_avg_down(model: MarkovAvailabilityModel) -> float:
@@ -208,11 +203,6 @@ class RoundState:
         self.stamped = False
         self.col_stamp: List[int] = [0] * p
         self._stamp_serial = 0
-        #: Bounded ring of recent stamp batches ``(serial, qs)`` — lets a
-        #: consumer that remembers the serial it last saw ask exactly
-        #: which processors moved since (:meth:`changed_since`), instead
-        #: of comparing all p stamps.
-        self._stamp_history: deque = deque(maxlen=_STAMP_HISTORY)
 
         self._pipeline_provider = pipeline_provider or (lambda q: ())
         #: Optional owner hook called with a processor index before a lazy
@@ -377,33 +367,6 @@ class RoundState:
         col_stamp = self.col_stamp
         for q in qs:
             col_stamp[q] = serial
-        self._stamp_history.append((serial, tuple(qs)))
-
-    def changed_since(self, serial: int) -> Optional[frozenset]:
-        """Processors stamped since ``serial``, or ``None`` if unknowable.
-
-        ``serial`` is a value of :attr:`RoundState._stamp_serial` the
-        caller recorded earlier.  Returns the (possibly empty) set of
-        processor indices whose columns were stamped after it, provided
-        the bounded history still covers the gap — serials are issued
-        one per :meth:`stamp_changed` batch, so the history is contiguous
-        and coverage is simply "the oldest retained batch is not newer
-        than ``serial + 1``".  ``None`` means the caller lagged too far
-        (or the serial is foreign) and must fall back to a full rebuild.
-        """
-        current = self._stamp_serial
-        if serial == current:
-            return frozenset()
-        if serial > current:
-            return None
-        history = self._stamp_history
-        if not history or history[0][0] > serial + 1:
-            return None
-        changed: set = set()
-        for batch_serial, qs in history:
-            if batch_serial > serial:
-                changed.update(qs)
-        return frozenset(changed)
 
     def adopt_belief_cache(self, other: "RoundState") -> None:
         """Share belief-derived column caches with ``other`` (same beliefs).

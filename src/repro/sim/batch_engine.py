@@ -36,9 +36,10 @@ What the cohort fuses
   adopt_belief_cache`), so each column is computed once per scenario
   rather than once per run.
 * **Score rows across rounds.**  The master stamps every worker-column
-  rewrite (:attr:`RoundState.col_stamp`), so the CT-family schedulers
-  keep their ``n_q = 0`` score rows alive across rounds and re-score
-  only stamped-out processors — see ``GreedyScheduler._row0_stamped``.
+  rewrite (:attr:`RoundState.col_stamp`), so from ``VECTOR_MIN_P``
+  processors the CT-family schedulers keep their ``n_q = 0`` score rows
+  alive across rounds and re-score only stamped-out processors — see
+  ``GreedyScheduler._row0_stamped``.
 
 What deliberately stays per-run
 ===============================

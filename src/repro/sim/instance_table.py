@@ -10,18 +10,24 @@ with a table of *rows* (slots reused through a free list) holding parallel
 columns plus incrementally maintained aggregates, so each of those scans
 becomes a column operation or an O(1) counter read (DESIGN.md §9).
 
-**Columns** (indexed by row):
+**Columns** (indexed by row, plain Python lists):
 
-===============  ============  ==========================================
-column           storage       meaning
-===============  ============  ==========================================
-``task_id``      int32 array   task index within the iteration (-1 dead)
-``replica_id``   int16 array   0 original, 1.. replicas
-``pinned``       bool array    work has begun (data started or computing)
-``computing``    bool array    currently its worker's computing instance
-``alive``        bool array    row is live
-``seq``          int64 array   creation order (the instance ``uid``)
-===============  ============  ==========================================
+===============  ==========================================
+column           meaning
+===============  ==========================================
+``task_id``      task index within the iteration (-1 dead)
+``replica_id``   0 original, 1.. replicas
+``pinned``       work has begun (data started or computing)
+``computing``    currently its worker's computing instance
+``alive``        row is live
+``seq``          creation order (the instance ``uid``)
+===============  ==========================================
+
+The master reads and writes single cells at event rate and never a
+whole column on the hot path (only the audit and end-of-run waste
+accounting scan ``alive``), so lists beat numpy columns: a list cell
+read or write costs a fraction of a numpy scalar access at the paper's
+p = 20 (DESIGN.md §9).
 
 The columns deliberately exclude per-round-churning placement state:
 every scheduling round re-plans every unpinned instance (tens of
@@ -41,7 +47,7 @@ commit), mirroring the RoundState maintenance discipline (§8).
 
 **Aggregates**, maintained incrementally at every mutation:
 
-* per task (numpy arrays): ``live_count``, ``replica_mask`` (bitmask of
+* per task (lists): ``live_count``, ``replica_mask`` (bitmask of
   live replica ids), ``original_row`` (row of the live original, -1
   after commit), ``committed``; plus ``rows_of[t]`` — live rows in
   creation order (the commit path's sibling lookup);
@@ -64,8 +70,6 @@ the incremental RoundState uses.
 from __future__ import annotations
 
 from typing import List, Optional
-
-import numpy as np
 
 from .worker import TaskInstance
 
@@ -106,31 +110,16 @@ class InstanceTable:
         elif capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         # Columns.
-        self.task_id = np.full(capacity, -1, dtype=np.int32)
-        self.replica_id = np.zeros(capacity, dtype=np.int16)
-        self.pinned = np.zeros(capacity, dtype=bool)
-        self.computing = np.zeros(capacity, dtype=bool)
-        self.alive = np.zeros(capacity, dtype=bool)
-        self.seq = np.zeros(capacity, dtype=np.int64)
+        self.task_id: List[int] = [-1] * capacity
+        self.replica_id: List[int] = [0] * capacity
+        self.pinned: List[bool] = [False] * capacity
+        self.computing: List[bool] = [False] * capacity
+        self.alive: List[bool] = [False] * capacity
+        self.seq: List[int] = [0] * capacity
         self.objects: List[Optional[TaskInstance]] = [None] * capacity
-        #: Dead rows available for reuse; popped LIFO so row churn stays
-        #: compact (lowest rows are recycled first after a reset).
-        self.free: List[int] = list(range(capacity - 1, -1, -1))
-        # Per-task aggregates.
-        self.live_count = np.zeros(n_tasks, dtype=np.int32)
-        self.replica_mask = np.zeros(n_tasks, dtype=np.int64)
-        self.original_row = np.full(n_tasks, -1, dtype=np.int32)
-        self.committed = np.zeros(n_tasks, dtype=bool)
-        self.rows_of: List[List[int]] = [[] for _ in range(n_tasks)]
-        # Per-worker aggregates.
-        self.computing_row: List[int] = [-1] * n_workers
-        # Scalars.
-        self.unpinned: set = set()
-        self.n_live = 0
-        self.n_uncommitted = n_tasks
-        self.repl_deficit = n_tasks
         #: Structural mutation counter (benchmark diagnostic).
         self.ops = 0
+        self.reset()
 
     @property
     def n_unpinned(self) -> int:
@@ -143,33 +132,38 @@ class InstanceTable:
     def reset(self) -> None:
         """Clear every row and aggregate for a fresh iteration."""
         capacity = len(self.task_id)
-        self.task_id[:] = -1
-        self.pinned[:] = False
-        self.computing[:] = False
-        self.alive[:] = False
+        n_tasks = self.n_tasks
+        self.task_id = [-1] * capacity
+        self.pinned = [False] * capacity
+        self.computing = [False] * capacity
+        self.alive = [False] * capacity
         self.objects = [None] * capacity
-        self.free = list(range(capacity - 1, -1, -1))
-        self.live_count[:] = 0
-        self.replica_mask[:] = 0
-        self.original_row[:] = -1
-        self.committed[:] = False
-        for rows in self.rows_of:
-            rows.clear()
-        self.computing_row = [-1] * self.n_workers
-        self.unpinned = set()
+        #: Dead rows available for reuse; popped LIFO so row churn stays
+        #: compact (lowest rows are recycled first after a reset).
+        self.free: List[int] = list(range(capacity - 1, -1, -1))
+        # Per-task aggregates.
+        self.live_count: List[int] = [0] * n_tasks
+        self.replica_mask: List[int] = [0] * n_tasks
+        self.original_row: List[int] = [-1] * n_tasks
+        self.committed: List[bool] = [False] * n_tasks
+        self.rows_of: List[List[int]] = [[] for _ in range(n_tasks)]
+        # Per-worker aggregates.
+        self.computing_row: List[int] = [-1] * self.n_workers
+        # Scalars.
+        self.unpinned: set = set()
         self.n_live = 0
-        self.n_uncommitted = self.n_tasks
-        self.repl_deficit = self.n_tasks
+        self.n_uncommitted = n_tasks
+        self.repl_deficit = n_tasks
 
     def _grow(self) -> None:
         old = len(self.task_id)
         new = 2 * old
-        for name in ("task_id", "replica_id", "pinned", "computing", "alive", "seq"):
-            column = getattr(self, name)
-            grown = np.zeros(new, dtype=column.dtype)
-            grown[:old] = column
-            setattr(self, name, grown)
-        self.task_id[old:] = -1
+        self.task_id.extend([-1] * old)
+        self.replica_id.extend([0] * old)
+        self.pinned.extend([False] * old)
+        self.computing.extend([False] * old)
+        self.alive.extend([False] * old)
+        self.seq.extend([0] * old)
         self.objects.extend([None] * old)
         self.free.extend(range(new - 1, old - 1, -1))
 
@@ -192,7 +186,7 @@ class InstanceTable:
         self.objects[row] = inst
         if inst.replica_id == 0:
             self.original_row[task] = row
-        count = int(self.live_count[task]) + 1
+        count = self.live_count[task] + 1
         self.live_count[task] = count
         if count == self.max_instances and not self.committed[task]:
             self.repl_deficit -= 1
@@ -210,17 +204,17 @@ class InstanceTable:
         destroy *before* detaching the instance from its worker queue (or
         after :meth:`on_crash`, which clears the per-worker state)."""
         row = inst.row
-        task = int(self.task_id[row])
+        task = self.task_id[row]
         host = inst.worker
         if host is not None and self.computing_row[host] == row:
             self.computing_row[host] = -1
         if not self.pinned[row]:
             self.unpinned.discard(row)
-        count = int(self.live_count[task]) - 1
+        count = self.live_count[task] - 1
         self.live_count[task] = count
         if count == self.max_instances - 1 and not self.committed[task]:
             self.repl_deficit += 1
-        self.replica_mask[task] &= ~(1 << int(self.replica_id[row]))
+        self.replica_mask[task] &= ~(1 << self.replica_id[row])
         if self.original_row[task] == row:
             self.original_row[task] = -1
         self.rows_of[task].remove(row)
@@ -291,13 +285,13 @@ class InstanceTable:
         """Rows of live unpinned instances, ascending."""
         return sorted(self.unpinned)
 
-    def live_rows(self) -> np.ndarray:
+    def live_rows(self) -> List[int]:
         """All live rows, ascending."""
-        return np.nonzero(self.alive)[0]
+        return [row for row, alive in enumerate(self.alive) if alive]
 
-    def uncommitted_tasks(self) -> np.ndarray:
+    def uncommitted_tasks(self) -> List[int]:
         """Task ids not yet committed, ascending."""
-        return np.nonzero(~self.committed)[0]
+        return [task for task, done in enumerate(self.committed) if not done]
 
     def hosts_of_task(self, task: int) -> set:
         """Workers currently hosting a live instance of ``task``."""
@@ -310,7 +304,7 @@ class InstanceTable:
 
     def free_replica_id(self, task: int) -> int:
         """Lowest replica id in ``1..max_instances`` not currently live."""
-        mask = int(self.replica_mask[task])
+        mask = self.replica_mask[task]
         rid = 1
         while mask >> rid & 1:
             rid += 1
@@ -331,21 +325,21 @@ class InstanceTable:
             assert 0 <= row < len(self.task_id), f"bad row {row} on {inst}"
             assert row not in by_row, f"row {row} assigned twice"
             by_row[row] = inst
-            assert bool(self.alive[row])
+            assert self.alive[row]
             assert self.task_id[row] == inst.task_id
             assert self.replica_id[row] == inst.replica_id
-            assert bool(self.pinned[row]) == inst.pinned
+            assert self.pinned[row] == inst.pinned
             assert (row in self.unpinned) == (not inst.pinned)
             assert self.seq[row] == inst.uid
             assert self.objects[row] is inst
-        assert int(np.count_nonzero(self.alive)) == len(instances)
+        assert sum(self.alive) == len(instances)
         assert len(self.unpinned) == sum(1 for i in instances if not i.pinned)
         for task in range(self.n_tasks):
             rows = [inst.row for inst in instances if inst.task_id == task]
             assert self.live_count[task] == len(rows)
             assert sorted(self.rows_of[task]) == sorted(rows)
             # rows_of preserves creation order (the commit path relies on it).
-            seqs = [int(self.seq[row]) for row in self.rows_of[task]]
+            seqs = [self.seq[row] for row in self.rows_of[task]]
             assert seqs == sorted(seqs), f"task {task}: rows_of out of order"
             mask = 0
             original = -1
@@ -356,7 +350,7 @@ class InstanceTable:
                         original = inst.row
             assert self.replica_mask[task] == mask
             assert self.original_row[task] == original
-            assert bool(self.committed[task]) == (task in committed)
+            assert self.committed[task] == (task in committed)
         assert self.n_uncommitted == self.n_tasks - len(committed)
         deficit = sum(
             1

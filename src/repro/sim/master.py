@@ -52,7 +52,8 @@ structure-of-arrays :class:`~repro.sim.instance_table.InstanceTable`,
 whose incrementally maintained aggregates turn the body's per-boundary
 and per-round scans (crash sweep, round triviality, glide analysis,
 replication bookkeeping, sibling lookups) into O(1) reads or short
-candidate loops; schedulers score an incrementally maintained
+candidate loops over the busy-worker roster (the workers with a
+non-empty queue); schedulers score an incrementally maintained
 :class:`~repro.core.heuristics.base.RoundState` through
 :meth:`~repro.core.heuristics.base.Scheduler.place_array`.
 
@@ -78,7 +79,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .._validation import require_nonnegative_int, require_positive_int
-from ..core.heuristics.base import RoundState, Scheduler
+from ..core.heuristics.base import VECTOR_MIN_P, RoundState, Scheduler
 from ..rng import DEFAULT_SCHEDULER_SEED, default_scheduler_rng
 from ..types import ProcState
 from ..workload.application import IterativeApplication
@@ -168,6 +169,10 @@ class SimulatorOptions:
     platform_index: str = "calendar"
 
     def __post_init__(self) -> None:
+        for name in ("replication", "proactive", "audit"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be a bool, got {value!r}")
         require_nonnegative_int(self.max_replicas, "max_replicas")
         require_positive_int(self.max_slots, "max_slots")
         if self.step_mode not in ("span", "slot"):
@@ -248,6 +253,12 @@ class MasterSimulator:
         )
         #: Mirrors ``prog_received > 0`` per worker (crash-sweep filter).
         self._prog_started = [False] * len(self.workers)
+        #: Busy-worker roster: the workers whose queue is non-empty,
+        #: updated at every queue mutation (``_place``, the round's queue
+        #: purge, ``_detach`` for ``_destroy_instance`` and
+        #: ``_proactive_round``, ``_crash``) so the body's busy-worker
+        #: loops never rebuild it (audited).
+        self._busy: set = set()
         #: Per-worker reuse cache for frozen TransferRequest objects,
         #: keyed by (kind, started, is_replica) — see _gather_requests.
         self._request_cache: List[dict] = [{} for _ in self.workers]
@@ -306,7 +317,7 @@ class MasterSimulator:
         #: (no calendar, or the calendar's first boundary).
         self._cal_records = None
         #: Workers with a partial or resident program (mirrors
-        #: ``prog_received > 0``): together with the queue hosts these are
+        #: ``prog_received > 0``): together with the busy roster these are
         #: the only workers a calendar-mode span search must visit.
         self._prog_holders: set = set()
 
@@ -415,10 +426,11 @@ class MasterSimulator:
         ``span_scan_workers``: workers visited by the quiet-span search;
         ``round_refreshed``: RoundState columns recomputed at executed
         rounds (the sparse dirty-hint walk); ``rows_scored`` /
-        ``rows_reused``: candidate-set scoring counters from the
-        scheduler's persistent score-row store (score evaluations run
-        vs. stamped rows reused verbatim — 0/0 for schedulers without
-        the store).  The O(churn) claims of the large-p engine are
+        ``rows_reused``: the scheduler's scoring counters (score
+        evaluations run vs. stamped rows reused verbatim from the
+        large-p persistent store — below 128 processors every row is
+        scored and ``rows_reused`` is 0; 0/0 for schedulers without
+        the counters).  The O(churn) claims of the large-p engine are
         asserted on these in ``tests/test_platform_index.py``, not just
         benchmarked.
         """
@@ -446,26 +458,6 @@ class MasterSimulator:
             and self.states_provider is None
             and self._cal_last is not None
         )
-
-    def _queue_hosts(self) -> set:
-        """Workers currently holding at least one queued instance.
-
-        Derived from the instance table's live rows — O(live instances),
-        independent of p — for the calendar path's busy-worker loops.
-        Invariant (audited): a worker appears here iff its queue is
-        non-empty, since every live instance with ``worker is not None``
-        sits in exactly that worker's queue and every detach
-        (``reset_instance``/``crash``/``remove_instance``) clears the
-        instance's ``worker`` field in the same step.
-        """
-        tbl = self._tbl
-        objects = tbl.objects
-        hosts = set()
-        for row in tbl.live_rows().tolist():
-            worker = objects[row].worker
-            if worker is not None:
-                hosts.add(worker)
-        return hosts
 
     # ------------------------------------------------------------------ #
     # Crash / state handling.                                              #
@@ -597,6 +589,7 @@ class MasterSimulator:
                 dirty[q] = 1
                 hint.append(q)
             lost = worker.crash()
+            self._busy.discard(q)
             tbl.on_crash(q)
             self._prog_started[q] = False
             self._prog_holders.discard(q)
@@ -627,13 +620,22 @@ class MasterSimulator:
         # the computing-row rollback.
         self._tbl.destroy(inst)
         if inst.worker is not None:
-            # Destroying a pinned instance moves the worker's delay and
-            # pinned count; marking unconditionally is cheap and idempotent.
-            if not self._rs_dirty[inst.worker]:
-                self._rs_dirty[inst.worker] = 1
-                self._rs_dirty_hint.append(inst.worker)
-            self.workers[inst.worker].remove_instance(inst)
+            self._detach(inst)
         reset_instance(inst)
+
+    def _detach(self, inst: TaskInstance) -> None:
+        """Take a queued instance off its worker's queue (and the worker
+        off the busy roster when the queue empties)."""
+        host = inst.worker
+        # Detaching a pinned instance moves the worker's delay and pinned
+        # count; marking unconditionally is cheap and idempotent.
+        if not self._rs_dirty[host]:
+            self._rs_dirty[host] = 1
+            self._rs_dirty_hint.append(host)
+        worker = self.workers[host]
+        worker.remove_instance(inst)
+        if not worker.queue:
+            self._busy.discard(host)
 
     def _churn_replan(self, slot: int, churned, states) -> None:
         """Apply the relaxed replan policy to an UP-set change.
@@ -699,9 +701,6 @@ class MasterSimulator:
         eager_all = self.options.audit  # the audit cross-check reads all p
         slist = self._states_list
         changed: List[int] = []
-        delays: List[int] = []
-        pinned_counts: List[int] = []
-        prog_remainings: List[int] = []
         if eager_all:
             # Audit mode refreshes every dirty worker (the cross-check
             # reads all p columns) and verifies the sparse hint list
@@ -726,6 +725,13 @@ class MasterSimulator:
             # O(dirty candidates) instead of carrying every dirty non-UP
             # worker round after round.
             candidates = self._rs_dirty_hint
+        # Per-element writes: a refresh touches a handful of workers, and
+        # below ~15 of them four scalar writes each beat building an
+        # index array for four vectorised scatters.
+        delay_col = rs.delay
+        pinned_col = rs.pinned_count
+        prog_col = rs.prog_remaining
+        has_program_col = rs.has_program
         for q in candidates:
             if not dirty[q]:
                 continue
@@ -733,25 +739,20 @@ class MasterSimulator:
                 continue
             worker = workers[q]
             delay, pinned_count = worker.delay_and_pinned(t_data)
-            changed.append(q)
-            delays.append(delay)
-            pinned_counts.append(pinned_count)
             prog_remaining = worker.t_prog - worker.prog_received
-            prog_remainings.append(prog_remaining if prog_remaining > 0 else 0)
+            if prog_remaining < 0:
+                prog_remaining = 0
+            delay_col[q] = delay
+            pinned_col[q] = pinned_count
+            prog_col[q] = prog_remaining
+            has_program_col[q] = prog_remaining == 0
+            changed.append(q)
             dirty[q] = 0
         # In-place clear: mutation sites may hold a live alias of the
         # hint list; rebinding would strand their appends on a dead list.
         del self._rs_dirty_hint[:]
         self.op_round_refreshed += len(changed)
         if changed:
-            # One vectorised scatter per column beats per-element numpy
-            # assignments by an order of magnitude at p ≈ 20.
-            index = np.array(changed, dtype=np.intp)
-            rs.delay[index] = delays
-            rs.pinned_count[index] = pinned_counts
-            prog = np.array(prog_remainings, dtype=np.int64)
-            rs.prog_remaining[index] = prog
-            rs.has_program[index] = prog == 0
             rs.stamp_changed(changed)
         rs.remaining_tasks = remaining
         rs.invalidate()
@@ -817,28 +818,15 @@ class MasterSimulator:
         if not self.options.replication or self.options.max_replicas == 0:
             return True
         up_state = int(ProcState.UP)
-        n_uncommitted = tbl.n_uncommitted
         slist = self._states_list
         cal = self._cal
-        if cal is not None:
-            # Calendar path: the UP count is maintained incrementally and
-            # an idle UP worker exists iff the UP set is larger than the
-            # UP slice of the queue-host set — O(live), never O(p).
-            if cal.up_count <= n_uncommitted:
-                return True  # replication trigger cannot fire
-            busy_up = sum(
-                1 for q in self._queue_hosts() if slist[q] == up_state
-            )
-            idle = cal.up_count > busy_up
-        else:
-            if slist.count(up_state) <= n_uncommitted:
-                return True  # replication trigger cannot fire
-            workers = self.workers
-            idle = any(
-                slist[q] == up_state and not workers[q].queue
-                for q in range(len(slist))
-            )
-        if not idle:
+        # The calendar maintains the UP count incrementally.
+        up_count = cal.up_count if cal is not None else slist.count(up_state)
+        if up_count <= tbl.n_uncommitted:
+            return True  # replication trigger cannot fire
+        # An idle UP worker exists iff the UP set is larger than its busy
+        # slice — O(busy) over the roster, never O(p).
+        if up_count == sum(1 for q in self._busy if slist[q] == up_state):
             return True
         return tbl.replication_saturated
 
@@ -863,8 +851,8 @@ class MasterSimulator:
             return []
         candidates = []
         reclaimed = int(ProcState.RECLAIMED)
-        for task_id in tbl.uncommitted_tasks().tolist():
-            row = int(tbl.original_row[task_id])
+        for task_id in tbl.uncommitted_tasks():
+            row = tbl.original_row[task_id]
             if row < 0 or not tbl.pinned[row]:
                 continue
             inst = tbl.objects[row]
@@ -880,11 +868,8 @@ class MasterSimulator:
         for inst in self._proactive_candidates():
             self.report.comm_slots_wasted += inst.data_received
             self.report.compute_slots_wasted += inst.compute_done
-            if not self._rs_dirty[inst.worker]:  # pinned work discarded
-                self._rs_dirty[inst.worker] = 1
-                self._rs_dirty_hint.append(inst.worker)
             self._tbl.release(inst)  # reads inst.worker: before detach
-            self.workers[inst.worker].remove_instance(inst)
+            self._detach(inst)
             reset_instance(inst)  # back to the pool, progress discarded
             self.log.emit(
                 SimEvent(
@@ -950,6 +935,8 @@ class MasterSimulator:
         for host in touched_hosts:
             worker = self.workers[host]
             worker.queue = [other for other in worker.queue if other.pinned]
+            if not worker.queue:
+                self._busy.discard(host)
 
         for inst, choice in zip(originals, placements):
             self._place(inst, choice)
@@ -973,6 +960,7 @@ class MasterSimulator:
         inst.worker = choice
         inst.compute_needed = worker.speed_w
         worker.queue.append(inst)
+        self._busy.add(choice)
 
     def _replication_round(self, rs: RoundState) -> None:
         """Section 6.1 replication: idle UP workers take extra copies of
@@ -984,26 +972,29 @@ class MasterSimulator:
         if n_uncommitted <= 0:
             return
         up_state = int(ProcState.UP)
+        slist = self._states_list
         cal = self._cal
+        up_count = cal.up_count if cal is not None else slist.count(up_state)
+        if up_count <= n_uncommitted:
+            return  # paper's trigger: more UP than remaining tasks
         idle_mask = None
         idle = None
-        if cal is not None:
-            if cal.up_count <= n_uncommitted:
-                return  # paper's trigger: more UP than remaining tasks
-            # Only queue hosts can be non-idle: mask the (few) busy
-            # workers out of the UP vector, and keep the *mask* — the
-            # candidate loop below then builds each task's allowed set
-            # with O(p) numpy ops instead of O(idle) Python list scans.
+        if cal is not None and len(slist) >= VECTOR_MIN_P:
+            # Large-p calendar path: mask the (few) roster workers out of
+            # the UP vector and keep the *mask* — the candidate loop below
+            # then builds each task's allowed set with O(p) numpy ops
+            # instead of O(idle) Python list scans.
             idle_mask = cal.states_np == up_state
-            for q in self._queue_hosts():
+            for q in self._busy:
                 idle_mask[q] = False
             n_idle = int(np.count_nonzero(idle_mask))
             if n_idle == 0:
                 return
         else:
-            slist = self._states_list
-            if slist.count(up_state) <= n_uncommitted:
-                return  # paper's trigger: more UP than remaining tasks
+            # Small p (lists beat small-vector masks) and the O(p) sweep
+            # oracle, which derives the idle set from the queues so that
+            # the sweep-vs-calendar suites cross-check the roster and the
+            # two ``allowed`` forms.
             workers = self.workers
             idle = [
                 q
@@ -1020,8 +1011,8 @@ class MasterSimulator:
         # task.
         live_count = tbl.live_count
         candidates = sorted(
-            tbl.uncommitted_tasks().tolist(),
-            key=lambda task_id: (int(live_count[task_id]), task_id),
+            tbl.uncommitted_tasks(),
+            key=lambda task_id: (live_count[task_id], task_id),
         )
         for task_id in candidates:
             exhausted = (n_idle == 0) if idle_mask is not None else not idle
@@ -1078,21 +1069,8 @@ class MasterSimulator:
         dirty = self._rs_dirty
         hint = self._rs_dirty_hint
         slist = self._states_list
-        if self._cal is not None:
-            # Calendar path: a queue implies live hosted instances, so
-            # the queue-host set (O(live)) filtered to UP is exactly the
-            # sweep's candidate list, in the same ascending order.
-            candidates = [
-                q for q in sorted(self._queue_hosts()) if slist[q] == up
-            ]
-        else:
-            # Only UP workers with a queue can compute (ascending order).
-            workers = self.workers
-            candidates = [
-                q
-                for q in range(len(slist))
-                if slist[q] == up and workers[q].queue
-            ]
+        # Only UP workers with a queue can compute (ascending order).
+        candidates = [q for q in sorted(self._busy) if slist[q] == up]
         for q in candidates:
             worker = self.workers[q]
             row = tbl.computing_row[q]
@@ -1184,19 +1162,7 @@ class MasterSimulator:
         up = int(ProcState.UP)
         slist = self._states_list
         all_workers = self.workers
-        if self._cal is not None:
-            # Calendar path: the queue hosts, O(live) candidates.
-            workers = [
-                all_workers[q]
-                for q in sorted(self._queue_hosts())
-                if slist[q] == up
-            ]
-        else:
-            workers = [
-                all_workers[q]
-                for q in range(len(slist))
-                if slist[q] == up and all_workers[q].queue
-            ]
+        workers = [all_workers[q] for q in sorted(self._busy) if slist[q] == up]
         caches = self._request_cache
         for worker in workers:
             if worker.wants_program():
@@ -1660,8 +1626,8 @@ class MasterSimulator:
         """Calendar-mode quiet-span search: O(busy), never O(p).
 
         Same contract as :meth:`_quiet_span`, visiting only the *busy*
-        workers — queue hosts plus program holders (O(live), from the
-        table's rows and the ``_prog_holders`` mirror).  The availability
+        workers — the busy roster plus the ``_prog_holders`` mirror,
+        unioned into a fresh set.  The availability
         bound splits by regime:
 
         * **observe_all** (event log attached; the calendar never engages
@@ -1711,8 +1677,7 @@ class MasterSimulator:
         objects = tbl.objects
         avail = self._avail
         workers = self.workers
-        busy = self._queue_hosts()
-        busy.update(self._prog_holders)
+        busy = self._busy | self._prog_holders
         self.op_span_scan_workers += len(busy)
         for q in sorted(busy):
             worker = workers[q]
@@ -1794,16 +1759,11 @@ class MasterSimulator:
         tbl = self._tbl
         slist = self._prev_states_list
         computing_row = tbl.computing_row
-        # Calendar path: a computing row implies a queued instance, so the
-        # queue-host set covers every computing worker.
-        hosts = (
-            sorted(self._queue_hosts())
-            if self._cal is not None
-            else range(len(slist))
-        )
+        # A computing row implies a queued instance, so the roster covers
+        # every computing worker.
         computing = [
             (q, tbl.objects[computing_row[q]])
-            for q in hosts
+            for q in sorted(self._busy)
             if slist[q] == up and computing_row[q] >= 0
         ]
         for q, inst in computing:
@@ -1971,7 +1931,7 @@ class MasterSimulator:
         self._resume_budget = None
         # Leftover instances at end-of-run are waste.
         tbl = self._tbl
-        for row in tbl.live_rows().tolist():
+        for row in tbl.live_rows():
             inst = tbl.objects[row]
             self.report.comm_slots_wasted += inst.data_received
             self.report.compute_slots_wasted += inst.compute_done
@@ -1984,7 +1944,7 @@ class MasterSimulator:
         aggregates == a brute-force rebuild from the live objects and
         worker queues (DESIGN.md §9; mirrors :meth:`_audit_round_state`)."""
         tbl = self._tbl
-        live = [tbl.objects[row] for row in tbl.live_rows().tolist()]
+        live = [tbl.objects[row] for row in tbl.live_rows()]
         tbl.audit(live, self._committed)
         for q, worker in enumerate(self.workers):
             row = tbl.computing_row[q]
@@ -1999,14 +1959,13 @@ class MasterSimulator:
             assert bool(self._prog_started[q]) == (worker.prog_received > 0), (
                 f"worker {q}: prog_started flag drifted"
             )
-        # Calendar-path invariants (DESIGN.md §12), cheap to verify on
-        # every index: the busy-worker mirrors behind the O(busy) span
+        # The busy-worker mirrors behind the O(busy) body loops and span
         # search must match the queues exactly.
-        hosts = self._queue_hosts()
+        queued = {q for q, worker in enumerate(self.workers) if worker.queue}
+        assert self._busy == queued, (
+            f"busy roster {sorted(self._busy)} != queue holders {sorted(queued)}"
+        )
         for q, worker in enumerate(self.workers):
-            assert (q in hosts) == bool(worker.queue), (
-                f"worker {q}: queue-host derivation drifted"
-            )
             assert (q in self._prog_holders) == (worker.prog_received > 0), (
                 f"worker {q}: prog_holders mirror drifted"
             )

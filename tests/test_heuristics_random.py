@@ -1,14 +1,23 @@
 """Tests for the random heuristic family (Section 6.2)."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.expectation import p_plus
-from repro.core.heuristics.base import ProcessorView, SchedulingContext
+from repro.core.heuristics.base import (
+    ProcessorView,
+    RoundState,
+    SchedulingContext,
+)
 from repro.core.heuristics.random_based import (
     RANDOM_WEIGHTS,
     RandomScheduler,
     WeightedRandomScheduler,
+    inverse_cdf_pick,
     make_random_variant,
 )
 from repro.core.markov import MarkovAvailabilityModel
@@ -142,3 +151,114 @@ class TestVariantFactory:
         sched = make_random_variant(1, weighted_by_speed=True)
         placements = sched.place(context([fast, slow], seed=4), 2000)
         assert placements.count(0) > placements.count(1) * 3
+
+
+def _numpy_pick(weights, u):
+    """The reference draw: numpy CDF and ``searchsorted``, clamped."""
+    w = np.asarray(weights, dtype=float)
+    total = w.sum()
+    pick = int(np.searchsorted(np.cumsum(w / total), u, side="right"))
+    return min(pick, len(w) - 1)
+
+
+def _list_cumulative(weights):
+    """The CDF ``WeightedRandomScheduler.place_array`` builds."""
+    w = np.asarray(weights, dtype=float)
+    return list(accumulate((w / w.sum()).tolist()))
+
+
+#: Weight vectors with a positive total; zeros are drawn often so that
+#: repeated cumulative values (flat CDF steps) are common.
+_WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1e6)),
+    min_size=1,
+    max_size=40,
+).filter(lambda w: sum(w) > 0.0)
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+
+
+class TestInverseCdfPick:
+    """The list inverse-CDF draw equals the numpy ``searchsorted`` draw."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_WEIGHTS, _UNIT)
+    def test_matches_searchsorted(self, weights, u):
+        cumulative = _list_cumulative(weights)
+        assert cumulative == np.cumsum(
+            np.asarray(weights) / np.sum(weights)
+        ).tolist()
+        assert inverse_cdf_pick(cumulative, u) == _numpy_pick(weights, u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.floats(1e-6, 1e3), _UNIT)
+    def test_equal_weights(self, k, value, u):
+        weights = [value] * k
+        assert inverse_cdf_pick(_list_cumulative(weights), u) == _numpy_pick(
+            weights, u
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WEIGHTS, st.data())
+    def test_u_on_a_cumulative_value(self, weights, data):
+        cumulative = _list_cumulative(weights)
+        u = cumulative[data.draw(st.integers(0, len(cumulative) - 1))]
+        assert inverse_cdf_pick(cumulative, u) == _numpy_pick(weights, u)
+
+    def test_zero_weights_are_never_picked(self):
+        weights = [0.0, 1.0, 0.0, 0.0, 2.0, 0.0]
+        cumulative = _list_cumulative(weights)
+        for u in np.linspace(0.0, 1.0, 101, endpoint=False):
+            assert inverse_cdf_pick(cumulative, u) in (1, 4)
+
+    def test_rounding_overshoot_clamps_to_last(self):
+        assert inverse_cdf_pick([0.25, 0.5, 0.75, 0.9999999], 0.99999995) == 3
+        assert inverse_cdf_pick([0.5, 1.0], 1.0) == 1
+
+
+def _round_state(views, seed):
+    return RoundState.from_views(
+        views, t_prog=5, t_data=1, ncom=5, rng=np.random.default_rng(seed)
+    )
+
+
+class TestWeightedPlaceArray:
+    """``place_array`` draws exactly what the scalar ``place`` draws."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.floats(0.5, 0.99), min_size=1, max_size=12),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_place(self, p_uus, variant, by_speed, n, seed):
+        views = [
+            view(q, speed=1 + q % 4, p_uu=p_uu) for q, p_uu in enumerate(p_uus)
+        ]
+        sched = make_random_variant(variant, by_speed)
+        expected = sched.place(context(views, seed=seed), n)
+        assert sched.place_array(_round_state(views, seed), n) == expected
+
+    def test_zero_total_falls_back_to_uniform_draws(self):
+        # p_uu = 0 makes every Random1 weight vanish.
+        views = [view(q, p_uu=0.0) for q in range(5)]
+        sched = make_random_variant(1, weighted_by_speed=False)
+        placements = sched.place_array(_round_state(views, 11), 40)
+        rng = np.random.default_rng(11)
+        assert placements == [int(rng.integers(5)) for _ in range(40)]
+        assert placements == sched.place(context(views, seed=11), 40)
+
+    def test_missing_belief_candidate_raises_under_allowed(self):
+        views = [view(q) for q in range(4)]
+        views[2] = ProcessorView(
+            index=2, speed_w=2, state=ProcState.UP, belief=None,
+            has_program=False, delay=0, pinned_count=0,
+        )
+        sched = make_random_variant(3, weighted_by_speed=True)
+        with pytest.raises(ValueError, match="processor 2 has no Markov belief"):
+            sched.place_array(_round_state(views, 0), 1, [1, 2])
+        # A belief-less processor outside ``allowed`` is no candidate.
+        assert sched.place_array(_round_state(views, 0), 2, [0, 3]) == (
+            sched.place(context(views, seed=0), 2, [0, 3])
+        )

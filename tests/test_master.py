@@ -13,6 +13,7 @@ from repro.core.heuristics.mct import MctScheduler
 from repro.sim.events import EventKind, EventLog
 from repro.sim.master import MasterSimulator, SimulatorOptions, simulate
 from repro.sim.platform import Platform, Processor
+from repro.sim.worker import TaskInstance
 from repro.types import states_from_codes
 from repro.workload.application import IterativeApplication
 
@@ -331,3 +332,67 @@ class TestGuards:
                                      t_prog=1, t_data=0),
                 max_slots=0,
             )
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize("field", ["replication", "proactive", "audit"])
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, None, np.bool_(True)])
+    def test_rejects_non_bool_flags(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be a bool"):
+            SimulatorOptions(**{field: value})
+
+    @pytest.mark.parametrize("field", ["replication", "proactive", "audit"])
+    def test_accepts_bools(self, field):
+        for value in (True, False):
+            assert getattr(SimulatorOptions(**{field: value}), field) is value
+
+
+class TestBusyRoster:
+    """The master's busy-worker roster mirrors the non-empty queues."""
+
+    def _sim(self):
+        return MasterSimulator(
+            trace_platform(["u" * 40, "u" * 40], [2, 2]),
+            IterativeApplication(tasks_per_iteration=1, iterations=2,
+                                 t_prog=2, t_data=1),
+            MctScheduler(),
+            options=SimulatorOptions(audit=True, replication=False),
+            rng=np.random.default_rng(0),
+        )
+
+    def test_roster_tracks_queues_through_a_run(self):
+        sim = self._sim()
+        sim.begin_run(40)
+        sim.advance_until(1)
+        assert sim._busy == {q for q, w in enumerate(sim.workers) if w.queue}
+        assert sim._busy  # the task is queued somewhere
+        sim.advance_until(40)
+        sim.finish_run()
+        assert sim._busy == set()  # every queue drained at the last commit
+
+    def test_audit_catches_a_queue_appended_behind_the_roster(self):
+        sim = self._sim()
+        sim.begin_run(40)
+        sim.advance_until(1)
+        sim._audit_instance_table()  # consistent so far
+        idle = next(worker for worker in sim.workers if not worker.queue)
+        stray = TaskInstance(iteration=0, task_id=0, replica_id=1,
+                             data_needed=1)
+        stray.worker = idle.index
+        idle.queue.append(stray)
+        with pytest.raises(AssertionError, match="busy roster"):
+            sim._audit_instance_table()
+
+    def test_span_search_leaves_the_roster_alone(self):
+        sim = self._sim()
+        sim.begin_run(40)
+        sim.advance_until(1)
+        assert sim._cal is not None  # the calendar span search runs
+        before = set(sim._busy)
+        idle = next(q for q, worker in enumerate(sim.workers) if not worker.queue)
+        sim._prog_holders.add(idle)  # as for a resident program, empty queue
+        sim._need_replan = sim._pipeline_changed = False
+        sim.op_span_scan_workers = 0
+        sim._quiet_span_cal(sim._resume_slot - 1, 40)
+        assert sim.op_span_scan_workers == len(before) + 1  # visited both
+        assert sim._busy == before
